@@ -1,0 +1,50 @@
+"""Golden digests of freshly built models.
+
+A fixed seed must give the same weights, in the same walk order, under the
+same names, whatever the code that builds the model looks like: weight files
+(`.mafw`) are keyed by these names, and the RNG draw order decides every
+initial value. Unlike the same-process determinism checks, these digests also
+catch a build that reorders its modules or renames one.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from mafnet import build_model, count_costs, nano_config, toy_config
+
+# (config, enable_saf, enable_aaf) -> (sha256 over state_entries, params @ 640)
+GOLDEN = {
+    ("toy", True, True): ("3d7203df25b29fbf7dfa8dad72f2cdee1c7f4411a702e57e1d4b92ed642f2cb9", 89116),
+    ("toy", True, False): ("40841bc855e9ddf1608da1e763f067cd51643df25155872316e6e5e791524174", 74108),
+    ("toy", False, True): ("3c06c732b8711b113ff7f830904c58ddbc213843a590efc16e47d9a6a887ab5d", 84504),
+    ("toy", False, False): ("e6ebc9e00adec6eb45ceb03cdd7ef22ed50f413da583010fa647e8525888d8d2", 70488),
+    ("nano", True, True): ("2dbebfc89c7fd236a1c03348181a8f8c7041519e0a9f5c984aa24747afedabc9", 3932208),
+    ("nano", True, False): ("2eb90b4cef944d000ef351be04bf6c76c5ea85f15377cf7ba763abeaa54283b9", 3095024),
+    ("nano", False, True): ("bcbf63e712e984d116567219fb107ea4300e3e91e82b8b094b5720016bc0b8e9", 3843696),
+    ("nano", False, False): ("0fc4814dfe57f62e1e924ab7b58cb7007d22eb8d8db51dfa15eba34001a94aee", 3028176),
+}
+
+CONFIGS = {"toy": toy_config, "nano": nano_config}
+
+
+def state_digest(model) -> str:
+    h = hashlib.sha256()
+    for name, arr in model.state_entries():
+        h.update(name.encode())
+        h.update(str(arr.dtype).encode())
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("key", list(GOLDEN), ids=lambda k: f"{k[0]}-saf{int(k[1])}-aaf{int(k[2])}")
+def test_build_matches_golden_digest(key):
+    name, saf, aaf = key
+    cfg = CONFIGS[name](seed=3)
+    cfg.neck = dataclasses.replace(cfg.neck, enable_saf=saf, enable_aaf=aaf)
+    model = build_model(cfg)
+    digest, params = GOLDEN[key]
+    assert state_digest(model) == digest
+    assert count_costs(model, 640).total_params == params
