@@ -240,19 +240,26 @@ def erf_map(module: Module, tap: str, x: Tensor | np.ndarray) -> np.ndarray:
         x = Tensor(x)
     inp = Tensor(x.data.copy(), requires_grad=True)
     was_training = module.training
+    # Only the input gradient is wanted: with the parameters frozen for the
+    # pass, no weight gradient is computed or left behind in `.grad`.
+    params = [p for p in module.parameters() if p.requires_grad]
     module.eval()
     try:
+        for p in params:
+            p.requires_grad = False
         _, taps = module.forward_taps(inp)
+        if tap not in taps:
+            raise ConfigError(f"unknown tap {tap!r}; available: {sorted(taps)}")
+        t = taps[tap]
+        mask = np.zeros(t.shape, dtype=t.dtype)
+        mask[:, :, t.shape[2] // 2, t.shape[3] // 2] = 1.0
+        loss = ops.sum_all(ops.mul(t, Tensor(mask)))
+        loss.backward()
     finally:
+        for p in params:
+            p.requires_grad = True
         if was_training:
             module.train()
-    if tap not in taps:
-        raise ConfigError(f"unknown tap {tap!r}; available: {sorted(taps)}")
-    t = taps[tap]
-    mask = np.zeros(t.shape, dtype=t.dtype)
-    mask[:, :, t.shape[2] // 2, t.shape[3] // 2] = 1.0
-    loss = ops.sum_all(ops.mul(t, Tensor(mask)))
-    loss.backward()
     if inp.grad is None:
         raise NumericalError(f"erf_map: no gradient reached the input for tap {tap!r}")
     m = np.abs(inp.grad.astype(np.float64)).sum(axis=(0, 1))

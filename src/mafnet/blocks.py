@@ -154,3 +154,21 @@ class RepHELAN(Module):
             lanes = [s0, chain[-1]]
         y = ops.concat_channels(lanes)
         return self._act(self.bn_out(self.pw_out(y)))
+
+
+def helan_block(in_channels, out_channels, depth, kernel, toggles, rng, dtype) -> RepHELAN:
+    """RepHELAN with hidden width out/2 and `depth` bottlenecks.
+
+    `toggles` is a model or neck config: its expansion, use_rep, use_large and
+    use_elan fields set the block structure.
+    """
+    hidden = out_channels // 2
+    bottleneck = BottleneckConfig(
+        channels=hidden,
+        expansion=toggles.expansion,
+        kernel=kernel,
+        use_rep=toggles.use_rep,
+        use_large=toggles.use_large,
+    )
+    cfg = HELANConfig(in_channels, out_channels, hidden, depth, bottleneck, toggles.use_elan)
+    return RepHELAN(cfg, rng=rng, dtype=dtype)

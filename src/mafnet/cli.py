@@ -75,6 +75,8 @@ def cmd_summary(args) -> int:
 
 
 def cmd_verify_fuse(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"verify-fuse: --trials must be >= 1, got {args.trials}")
     cfg = _load_model_config(args)
     if args.tol is None:
         args.tol = 1e-4 if args.mode == "unit" else 1e-3
@@ -133,7 +135,7 @@ def cmd_verify_fuse(args) -> int:
                 trial_worst = max(trial_worst, dev)
             worst = max(worst, trial_worst)
             lines.append((f"trial{trial}", trial_worst))
-        n = max(args.trials, 1)
+        n = args.trials
         # informal speed note; not part of the stable JSON schema
         lines_footer = (
             f"forward time (informal): branch path {branch_s / n:.2f}s, "
@@ -160,12 +162,7 @@ def cmd_gradcheck(args) -> int:
     names = [s for s in args.ops.split(",") if s]
     if not names:
         raise ConfigError("gradcheck: empty op list")
-    if args.corrupt_op:
-        gc.CORRUPT_OP = args.corrupt_op
-    try:
-        ok, rows = gc.run_gradcheck(names, rtol=args.tol, seed=args.seed)
-    finally:
-        gc.CORRUPT_OP = None
+    ok, rows = gc.run_gradcheck(names, rtol=args.tol, seed=args.seed)
     payload = {
         "tol": args.tol,
         "pass": ok,
@@ -345,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, config=False)
     sp.add_argument("--ops", default="all", help="comma-separated op list or 'all'")
     sp.add_argument("--tol", type=float, default=1e-4)
-    sp.add_argument("--corrupt-op", help=argparse.SUPPRESS)
     sp.set_defaults(fn=cmd_gradcheck)
 
     sp = sub.add_parser("erf", help="effective-receptive-field map and radius")

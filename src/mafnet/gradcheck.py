@@ -22,10 +22,6 @@ from .tensor import Tensor, no_grad
 DEFAULT_STEP = 1e-4
 DEFAULT_RTOL = 1e-4
 
-# Test hook: set to an op name to corrupt its analytic gradient and prove
-# the report machinery surfaces failures. Never set outside tests/CLI.
-CORRUPT_OP: str | None = None
-
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     scale = max(float(np.abs(analytic).max(initial=0.0)),
@@ -326,8 +322,6 @@ def run_gradcheck(
     for n in names:
         for label, fn in checks[n]:
             err = fn(seed=seed)
-            if CORRUPT_OP is not None and n == CORRUPT_OP:
-                err = max(err, 1.0)
             ok = err <= rtol
             ok_all = ok_all and ok
             rows.append((label, err, ok))

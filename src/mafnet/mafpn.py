@@ -7,6 +7,9 @@ Pathway 2 (bottom-up) uses advanced assisted fusion: equal-width lanes from
 the first pathway's neighbours, the running second-pathway lane and an
 upsampled deeper lane. Each fusion node feeds a RepHELAN block; the three
 second-pathway outputs (strides 8/16/32) are the neck outputs.
+
+The wiring is written once, as data: NECK_NODES lists every fusion node and
+its lanes. MAFPN builds, runs and lists its edges from that table.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .blocks import BottleneckConfig, HELANConfig, RepHELAN
+from .blocks import helan_block
 from .errors import ConfigError, ShapeError
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module
 from .tensor import Tensor
@@ -42,6 +45,43 @@ class NeckConfig:
             raise ConfigError(f"NeckConfig: kernels must list three sizes, got {self.kernels}")
         if not 0.0 < self.saf_ratio <= 1.0:
             raise ConfigError(f"NeckConfig: saf_ratio must be in (0,1], got {self.saf_ratio}")
+
+
+BACKBONE_TAPS = ("P2", "P3", "P4", "P5")
+
+# The neck topology, one row per fusion node in build and forward order:
+# (node, fuse attr, block attr, level, lanes). A lane is (source, kind) and
+# lanes are listed in concat order; level indexes NeckConfig.widths/kernels
+# (0 = stride 8). Lane kinds:
+#   project      1x1 ConvBN of the deepest tap (the only lane of P'5)
+#   assist-down  shallower backbone tap, downsampled (SAF; the AAF boundary)
+#   same         same-level lane, concatenated as is
+#   up           deeper neck lane, upsampled (SAF)
+#   up-project   deeper neck lane, upsampled and projected to the width (AAF)
+#   cross-down   first-pathway lane from the level below (AAF)
+#   chain-down   running second-pathway lane from the level below
+NECK_NODES = (
+    ("P'5", "proj5", None, 2, (("P5", "project"),)),
+    ("P'4", "saf4", "td4", 1, (("P3", "assist-down"), ("P4", "same"), ("P'5", "up"))),
+    ("P'3", "saf3", "td3", 0, (("P2", "assist-down"), ("P3", "same"), ("P'4", "up"))),
+    ("P''3", "aaf3", "bu3", 0, (("P2", "assist-down"), ("P'3", "same"), ("P'4", "up-project"))),
+    ("P''4", "aaf4", "bu4", 1, (("P'3", "cross-down"), ("P''3", "chain-down"), ("P'4", "same"),
+                                ("P'5", "up-project"))),
+    ("P''5", "aaf5", "bu5", 2, (("P'4", "cross-down"), ("P''4", "chain-down"), ("P'5", "same"))),
+)
+NECK_OUTPUTS = (("P''3", "N3"), ("P''4", "N4"), ("P''5", "N5"))
+
+# The lowest second-pathway node has no shallower neck lane to chain from.
+# Without AAF it adds nothing, so it becomes an alias of its same lane.
+AAF_ONLY_NODE = "P''3"
+
+# AAFFuse argument fed by each lane kind (constructor: the same name + "_ch").
+_AAF_ARGS = {
+    "assist-down": "assist",
+    "cross-down": "p1_prev",
+    "chain-down": "p2_prev",
+    "up-project": "deep",
+}
 
 
 def _check_spatial(level: str, name: str, got, want) -> None:
@@ -177,7 +217,11 @@ class AAFFuse(Module):
 
 
 class MAFPN(Module):
-    """The full neck: backbone taps (P2,P3,P4,P5) -> outputs (N3,N4,N5)."""
+    """The full neck: backbone taps (P2,P3,P4,P5) -> outputs (N3,N4,N5).
+
+    Construction, `forward_taps` and `wiring_edges` all walk `self.nodes`,
+    which is NECK_NODES with the lanes that the config disables filtered out.
+    """
 
     def __init__(
         self,
@@ -191,122 +235,69 @@ class MAFPN(Module):
             raise ConfigError(f"MAFPN: need 4 tap widths (P2..P5), got {tap_channels}")
         rng = rng or np.random.default_rng(0)
         self.cfg = cfg
-        c2, c3, c4, c5 = tap_channels
-        w3, w4, w5 = cfg.widths
-        k3, k4, k5 = cfg.kernels
-        saf = cfg.enable_saf
-        aaf = cfg.enable_aaf
-
-        def helan(in_ch, out_ch, kernel):
-            bcfg = BottleneckConfig(
-                channels=out_ch // 2,
-                expansion=cfg.expansion,
-                kernel=kernel,
-                use_rep=cfg.use_rep,
-                use_large=cfg.use_large,
-            )
-            hcfg = HELANConfig(
-                in_channels=in_ch,
-                out_channels=out_ch,
-                hidden=out_ch // 2,
-                n_bottlenecks=cfg.depth,
-                bottleneck=bcfg,
-                use_elan=cfg.use_elan,
-            )
-            return RepHELAN(hcfg, rng=rng, dtype=dtype)
-
-        # Pathway 1: top-down with superficial assisted fusion.
-        self.proj5 = ConvBN(c5, w5, 1, rng=rng, dtype=dtype)
-        self.saf4 = SAFFuse(c3, c4, w5, cfg.saf_ratio, saf, "P'4", rng=rng, dtype=dtype)
-        self.td4 = helan(self.saf4.out_channels, w4, k4)
-        self.saf3 = SAFFuse(c2, c3, w4, cfg.saf_ratio, saf, "P'3", rng=rng, dtype=dtype)
-        self.td3 = helan(self.saf3.out_channels, w3, k3)
-
-        # Pathway 2: bottom-up with advanced assisted fusion. The lowest
-        # level has no shallower neck lane; with AAF off it is an alias of
-        # the first pathway and the chain-down lanes alone feed the blocks.
-        if aaf:
-            self.aaf3 = AAFFuse(
-                w3,
-                assist_ch=c2 if saf else None,
-                deep_ch=w4,
-                level="P''3",
-                rng=rng,
-                dtype=dtype,
-            )
-            self.bu3 = helan(self.aaf3.out_channels, w3, k3)
-        self.aaf4 = AAFFuse(
-            w4,
-            p1_prev_ch=w3 if aaf else None,
-            p2_prev_ch=w3,
-            deep_ch=w5 if aaf else None,
-            level="P''4",
-            rng=rng,
-            dtype=dtype,
+        dropped = set()
+        if not cfg.enable_saf:
+            dropped.add("assist-down")
+        if not cfg.enable_aaf:
+            dropped.update(("cross-down", "up-project"))
+        self.nodes = tuple(
+            (node, None, None, level, tuple((s, "alias") for s, k in lanes if k == "same"))
+            if node == AAF_ONLY_NODE and not cfg.enable_aaf
+            else (node, fuse, block, level, tuple(ln for ln in lanes if ln[1] not in dropped))
+            for node, fuse, block, level, lanes in NECK_NODES
         )
-        self.bu4 = helan(self.aaf4.out_channels, w4, k4)
-        self.aaf5 = AAFFuse(
-            w5,
-            p1_prev_ch=w4 if aaf else None,
-            p2_prev_ch=w4,
-            level="P''5",
-            rng=rng,
-            dtype=dtype,
-        )
-        self.bu5 = helan(self.aaf5.out_channels, w5, k5)
+
+        # Modules are built in table order, which fixes the RNG draw order
+        # and the weight-entry order.
+        ch = dict(zip(BACKBONE_TAPS, tap_channels))
+        for node, fuse, block, level, lanes in self.nodes:
+            src = {kind: s for s, kind in lanes}
+            width = cfg.widths[level]
+            if "alias" in src:
+                ch[node] = ch[src["alias"]]
+                continue
+            if "project" in src:
+                m = ConvBN(ch[src["project"]], width, 1, rng=rng, dtype=dtype)
+            elif "up" in src:
+                shallow = src.get("assist-down")
+                m = SAFFuse(ch.get(shallow), ch[src["same"]], ch[src["up"]], cfg.saf_ratio,
+                            shallow is not None, node, rng=rng, dtype=dtype)
+            else:
+                lane_ch = {f"{_AAF_ARGS[k]}_ch": ch[s] for s, k in lanes if k != "same"}
+                m = AAFFuse(width, level=node, rng=rng, dtype=dtype, **lane_ch)
+            setattr(self, fuse, m)
+            if block:
+                kernel = cfg.kernels[level]
+                setattr(self, block,
+                        helan_block(m.out_channels, width, cfg.depth, kernel, cfg, rng, dtype))
+            ch[node] = width
 
     def forward(self, taps: dict[str, Tensor]) -> dict[str, Tensor]:
         outs, _ = self.forward_taps(taps)
         return outs
 
     def forward_taps(self, taps: dict[str, Tensor]):
-        cfg = self.cfg
-        p2, p3, p4, p5 = taps["P2"], taps["P3"], taps["P4"], taps["P5"]
-        saf, aaf = cfg.enable_saf, cfg.enable_aaf
-
-        t5 = self.proj5(p5)
-        t4 = self.td4(self.saf4(p3 if saf else None, p4, t5))
-        t3 = self.td3(self.saf3(p2 if saf else None, p3, t4))
-
-        if aaf:
-            b3 = self.bu3(self.aaf3(t3, assist=p2 if saf else None, deep=t4))
-        else:
-            b3 = t3
-        b4 = self.bu4(
-            self.aaf4(t4, p1_prev=t3 if aaf else None, p2_prev=b3, deep=t5 if aaf else None)
-        )
-        b5 = self.bu5(self.aaf5(t5, p1_prev=t4 if aaf else None, p2_prev=b4))
-
-        neck_taps = {"P'5": t5, "P'4": t4, "P'3": t3, "P''3": b3, "P''4": b4, "P''5": b5}
-        return {"N3": b3, "N4": b4, "N5": b5}, neck_taps
+        vals = {tap: taps[tap] for tap in BACKBONE_TAPS}
+        for node, fuse, block, _, lanes in self.nodes:
+            x = {kind: vals[s] for s, kind in lanes}
+            if "alias" in x:
+                y = x["alias"]
+            elif "project" in x:
+                y = getattr(self, fuse)(x["project"])
+            elif "up" in x:
+                y = getattr(self, fuse)(x.get("assist-down"), x["same"], x["up"])
+            else:
+                same = x.pop("same")
+                y = getattr(self, fuse)(same, **{_AAF_ARGS[k]: v for k, v in x.items()})
+            vals[node] = getattr(self, block)(y) if block else y
+        neck_taps = {node: vals[node] for node, *_ in self.nodes}
+        return {out: vals[node] for node, out in NECK_OUTPUTS}, neck_taps
 
     # -- wiring introspection --------------------------------------------------
     def wiring_edges(self) -> list[str]:
         """Deterministic edge list, one `src -> dst [kind]` line per lane."""
-        saf, aaf = self.cfg.enable_saf, self.cfg.enable_aaf
-        edges = [("P5", "P'5", "project")]
-        if saf:
-            edges.append(("P3", "P'4", "assist-down"))
-        edges += [("P4", "P'4", "same"), ("P'5", "P'4", "up")]
-        if saf:
-            edges.append(("P2", "P'3", "assist-down"))
-        edges += [("P3", "P'3", "same"), ("P'4", "P'3", "up")]
-        if aaf:
-            if saf:
-                edges.append(("P2", "P''3", "assist-down"))
-            edges += [("P'3", "P''3", "same"), ("P'4", "P''3", "up-project")]
-        else:
-            edges.append(("P'3", "P''3", "alias"))
-        if aaf:
-            edges.append(("P'3", "P''4", "cross-down"))
-        edges += [("P''3", "P''4", "chain-down"), ("P'4", "P''4", "same")]
-        if aaf:
-            edges.append(("P'5", "P''4", "up-project"))
-        if aaf:
-            edges.append(("P'4", "P''5", "cross-down"))
-        edges += [("P''4", "P''5", "chain-down"), ("P'5", "P''5", "same")]
-        edges += [("P''3", "N3", "output"), ("P''4", "N4", "output"), ("P''5", "N5", "output")]
-        return [f"{s} -> {d} [{k}]" for s, d, k in edges]
+        edges = [f"{s} -> {node} [{kind}]" for node, *_, lanes in self.nodes for s, kind in lanes]
+        return edges + [f"{node} -> {out} [output]" for node, out in NECK_OUTPUTS]
 
 
 def backbone_lineage(edges: list[str]) -> dict[str, set[str]]:
@@ -320,7 +311,7 @@ def backbone_lineage(edges: list[str]) -> dict[str, set[str]]:
         src, rest = e.split(" -> ")
         dst = rest.split(" [")[0]
         parents.setdefault(dst, []).append(src)
-    taps = {"P2", "P3", "P4", "P5"}
+    taps = set(BACKBONE_TAPS)
 
     def lineage(node: str, seen: frozenset = frozenset()) -> set[str]:
         if node in taps:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import BottleneckConfig, HELANConfig, RepHELAN
+from .blocks import helan_block
 from .errors import ConfigError, ShapeError
 from .mafpn import MAFPN, NeckConfig
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module, ModuleList
@@ -116,22 +116,7 @@ class Stage(Module):
     def __init__(self, in_ch, width, depth, kernel, cfg: ModelConfig, rng, dtype):
         super().__init__()
         self.down = ConvBN(in_ch, width, 3, stride=2, rng=rng, dtype=dtype)
-        bcfg = BottleneckConfig(
-            channels=width // 2,
-            expansion=cfg.expansion,
-            kernel=kernel,
-            use_rep=cfg.use_rep,
-            use_large=cfg.use_large,
-        )
-        hcfg = HELANConfig(
-            in_channels=width,
-            out_channels=width,
-            hidden=width // 2,
-            n_bottlenecks=depth,
-            bottleneck=bcfg,
-            use_elan=cfg.use_elan,
-        )
-        self.block = RepHELAN(hcfg, rng=rng, dtype=dtype)
+        self.block = helan_block(width, width, depth, kernel, cfg, rng, dtype)
 
     def forward(self, x):
         return self.block(self.down(x))
@@ -276,10 +261,13 @@ def rep_units(model: Module) -> list[tuple[str, RepHDWConv]]:
 def ghks_kernels(model: Model) -> dict[str, list[int]]:
     """Depthwise kernel schedule actually present in the built model."""
     backbone = [stage.block.cfg.bottleneck.effective_kernel for stage in model.backbone.stages]
-    neck_blocks = [model.neck.td3, model.neck.td4, model.neck.bu4, model.neck.bu5]
-    if model.cfg.neck.enable_aaf:
-        neck_blocks.append(model.neck.bu3)
-    neck = sorted({b.cfg.bottleneck.effective_kernel for b in neck_blocks})
+    neck = sorted(
+        {
+            getattr(model.neck, block).cfg.bottleneck.effective_kernel
+            for _, _, block, _, _ in model.neck.nodes
+            if block
+        }
+    )
     return {"backbone": backbone, "neck": neck}
 
 

@@ -216,11 +216,6 @@ class Sequential(Module):
         return x
 
 
-class Identity(Module):
-    def forward(self, x):
-        return x
-
-
 def kaiming_weight(rng: np.random.Generator, spec: ConvSpec, dtype) -> np.ndarray:
     fan_in = (spec.in_channels // spec.groups) * spec.kernel**2
     std = np.sqrt(2.0 / fan_in)

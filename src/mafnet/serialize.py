@@ -13,6 +13,7 @@ stored when present and restore the fused state on load.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -80,7 +81,12 @@ def read_entries(path: str) -> list[tuple[str, np.ndarray]]:
         name_len = r.u32()
         if name_len > 1 << 16:
             raise SerializationError(f"implausible name length {name_len} at offset {r.off - 4}")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise SerializationError(
+                f"entry name ending at offset {r.off} is not valid UTF-8"
+            ) from e
         code = r.u32()
         if code not in _CODE_TO_DTYPE:
             raise SerializationError(
@@ -91,7 +97,7 @@ def read_entries(path: str) -> list[tuple[str, np.ndarray]]:
         if rank > 8:
             raise SerializationError(f"implausible rank {rank} for entry {name!r}")
         dims = [r.u32() for _ in range(rank)]
-        n = int(np.prod(dims)) if dims else 1
+        n = math.prod(dims)
         payload = r.take(n * dtype.itemsize)
         arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
         entries.append((name, arr))

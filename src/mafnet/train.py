@@ -34,6 +34,8 @@ def make_blob_dataset(
     n: int = 64, size: int = 64, channels: int = 3, seed: int = 0
 ) -> BlobDataset:
     """Deterministic blob images: class 0 = small blobs, class 1 = one large blob."""
+    if n < 1:
+        raise ConfigError(f"make_blob_dataset: n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     images = np.zeros((n, channels, size, size), dtype=np.float32)
     labels = np.zeros(n, dtype=np.int64)
@@ -141,7 +143,11 @@ def train_toy(
     """
     if steps < 1:
         raise ConfigError(f"train_toy: steps must be >= 1, got {steps}")
+    if batch_size < 1:
+        raise ConfigError(f"train_toy: batch_size must be >= 1, got {batch_size}")
     n = len(ds)
+    if n < 1:
+        raise ConfigError("train_toy: empty dataset")
     opt = SGD(model.parameters(), lr)
     model.train()
     result = ToyTrainResult()

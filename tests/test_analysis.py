@@ -133,6 +133,17 @@ def test_erf_map_normalized_and_nonnegative():
     assert heat.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_erf_map_leaves_no_parameter_grads():
+    model = build_model(toy_config())
+    model.train()
+    heat = erf_map(model, "N3", _ones(3, 64))
+    assert heat.sum() == pytest.approx(1.0, abs=1e-9)
+    params = list(model.parameters())
+    assert all(p.grad is None for p in params)
+    assert all(p.requires_grad for p in params)
+    assert model.training
+
+
 def test_erf_unknown_tap():
     conv = Conv2d(1, 1, 3, rng=rng(7))
     with pytest.raises(ConfigError, match="unknown tap"):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mafnet import gradcheck as gc
 from mafnet import save_config, toy_config
 from mafnet.cli import main
 
@@ -94,10 +95,19 @@ def test_gradcheck_selected_ops(capsys):
     assert "PASS" in out
 
 
-def test_gradcheck_corrupted_backward_fails_naming_op(capsys):
-    code, out, _ = run(
-        capsys, "gradcheck", "--ops", "silu,upsample", "--corrupt-op", "upsample"
-    )
+def test_gradcheck_corrupted_backward_fails_naming_op(capsys, monkeypatch):
+    registry = gc.registry
+
+    def corrupted():
+        checks = registry()
+        checks["upsample"] = [
+            (label, lambda seed=0, fn=fn: max(fn(seed=seed), 1.0))
+            for label, fn in checks["upsample"]
+        ]
+        return checks
+
+    monkeypatch.setattr(gc, "registry", corrupted)
+    code, out, _ = run(capsys, "gradcheck", "--ops", "silu,upsample")
     assert code == 1
     lines = [l for l in out.splitlines() if "upsample" in l]
     assert lines and "FAIL" in lines[0]
@@ -192,6 +202,26 @@ def test_ablate_unknown_preset_exits_2(capsys):
     code, _, err = run(capsys, "ablate", "--preset", "table9")
     assert code == 2
     assert "unknown ablation preset" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["toy-train", "--steps", "1", "--batch-size", "0"],
+        ["toy-train", "--steps", "1", "--batch-size", "-2"],
+        ["toy-train", "--steps", "1", "--samples", "0"],
+        ["toy-train", "--steps", "1", "--samples", "-1"],
+        ["verify-fuse", "--trials", "0"],
+        ["verify-fuse", "--trials", "-1"],
+        ["verify-fuse", "--trials", "0", "--mode", "model"],
+        ["verify-fuse", "--trials", "-1", "--mode", "model"],
+    ],
+    ids=" ".join,
+)
+def test_degenerate_counts_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "PASS" not in out
 
 
 def test_usage_error_exits_2(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from mafnet import (
     ConfigError,
+    RepHDWConv,
     SerializationError,
     ShapeError,
     Tensor,
@@ -227,3 +228,39 @@ def test_unknown_entry_rejected(tmp_path):
     fresh = build_model(toy_config(seed=11))
     with pytest.raises(SerializationError, match="no matching module"):
         load_weights(fresh, str(p))
+
+
+def test_weight_file_fuzz_raises_only_serialization_error(tmp_path):
+    unit = RepHDWConv(2, 5, rng=rng(12))
+    p = tmp_path / "unit.mafw"
+    save_weights(unit, str(p))
+    data = p.read_bytes()
+    # byte ranges of the header and of every entry name
+    strict = list(range(12))
+    off = 12
+    for name, arr in unit.state_entries():
+        strict += range(off + 4, off + 4 + len(name))
+        off += 4 + len(name) + 8 + 4 * arr.ndim + arr.nbytes
+    assert off == len(data)
+    bad = tmp_path / "bad.mafw"
+
+    def load():
+        read_entries(str(bad))
+        load_weights(RepHDWConv(2, 5, rng=rng(13)), str(bad))
+
+    for cut in range(len(data)):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(SerializationError):
+            load()
+    for i in range(len(data)):
+        blob = bytearray(data)
+        blob[i] ^= 0xFF
+        bad.write_bytes(bytes(blob))
+        if i in strict:
+            with pytest.raises(SerializationError):
+                load()
+        else:
+            try:
+                load()
+            except SerializationError:
+                pass
