@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mafnet import ConfigError, ShapeError, Tensor
 from mafnet import ops
+from mafnet.gradcheck import DEFAULT_RTOL, check_gradients
 
 from helpers import identity_pointwise, naive_conv2d
 
@@ -65,6 +67,64 @@ def test_conv_grouped_matches_naive():
     y = ops.conv2d(Tensor(x), Tensor(w), groups=2)
     ref = naive_conv2d(x, w, groups=2)
     np.testing.assert_allclose(y.data, ref, atol=1e-5)
+
+
+# (in_channels, out_channels, groups) per conv kind
+CONV_KINDS = {
+    "depthwise": (3, 3, 3),
+    "dense": (3, 2, 1),
+    "grouped": (6, 4, 2),
+    "multiplier": (2, 4, 2),
+}
+
+
+@st.composite
+def conv_cases(draw):
+    kind = draw(st.sampled_from(sorted(CONV_KINDS)))
+    cin, cout, groups = CONV_KINDS[kind]
+    k = draw(st.sampled_from([1, 3, 5]))
+    h = draw(st.integers(k, k + 4))
+    w = draw(st.integers(k, k + 4).filter(lambda v: v != h))
+    return dict(
+        batch=draw(st.integers(1, 2)), cin=cin, cout=cout, groups=groups, k=k, h=h, w=w,
+        stride=draw(st.sampled_from([1, 2])),
+        padding=draw(st.integers(0, k // 2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_cases())
+def test_conv_matches_naive_property(case):
+    r = rng(case["seed"])
+    cin, cout, groups, k = case["cin"], case["cout"], case["groups"], case["k"]
+    x = r.standard_normal((case["batch"], cin, case["h"], case["w"])).astype(np.float32)
+    w = r.standard_normal((cout, cin // groups, k, k)).astype(np.float32)
+    b = r.standard_normal(cout).astype(np.float32)
+    y = ops.conv2d(
+        Tensor(x), Tensor(w), Tensor(b),
+        stride=case["stride"], padding=case["padding"], groups=groups,
+    )
+    ref = naive_conv2d(x, w, b, stride=case["stride"], padding=case["padding"], groups=groups)
+    assert y.shape == ref.shape
+    np.testing.assert_allclose(y.data, ref, atol=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["grouped", "multiplier"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_grouped_gradients(kind, stride):
+    cin, cout, groups = CONV_KINDS[kind]
+    r = rng(stride)
+    arrays = {
+        "x": r.standard_normal((1, cin, 5, 4)),
+        "w": r.standard_normal((cout, cin // groups, 3, 3)) * 0.5,
+        "b": r.standard_normal(cout) * 0.1,
+    }
+
+    def fn(t):
+        return ops.conv2d(t["x"], t["w"], t["b"], stride=stride, groups=groups)
+
+    assert check_gradients(fn, arrays, seed=stride) < DEFAULT_RTOL
 
 
 def test_conv_linearity():
