@@ -177,6 +177,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_erf(args) -> int:
+    if args.random_inputs < 0:
+        raise ConfigError(f"erf: --random-inputs must be >= 0, got {args.random_inputs}")
     cfg = _load_model_config(args)
     model = build_model(cfg)
     shape = (1, cfg.in_channels, args.input_size, args.input_size)
@@ -206,6 +208,8 @@ def cmd_erf(args) -> int:
 
 
 def cmd_toy_train(args) -> int:
+    if args.size < 1 or args.size % 32:
+        raise ConfigError(f"toy-train: --size must be a positive multiple of 32, got {args.size}")
     cfg = toy_config(seed=args.seed)
     ds = make_blob_dataset(n=args.samples, size=args.size, seed=args.seed)
     model = ToyClassifier(cfg)

@@ -1,10 +1,16 @@
 """Functional operators over Tensor: convolution, batch norm, SiLU,
 nearest-neighbor upsampling, channel concat/split, pooling and the toy loss.
 
-Convolutions are evaluated by offset decomposition: a k x k kernel becomes
-k^2 shifted pointwise products, which keeps memory flat and lets BLAS carry
-the dense cases. Gradients are exact; everything here passes the central
-finite-difference checker.
+Convolution is one formulation: a tap walker lists, for each of the k^2
+kernel taps, the strided window of the padded input that the tap reads, and
+each direction is a single loop over it. The forward adds mix(window, tap
+weights) into the output, dx scatters mix(gy, tap weights transposed) back
+into the windows, and dw reduces gy against each window. Only the per-tap
+channel mix depends on the kind: a depthwise tap is a per-channel scale, a
+dense tap one tensordot (BLAS), and a grouped conv runs the dense mix on
+each group's channel slices. Memory stays flat at one window per tap.
+Gradients are exact; everything here passes the central finite-difference
+checker.
 """
 
 from __future__ import annotations
@@ -67,34 +73,41 @@ def _pad_hw(a: np.ndarray, p: int) -> np.ndarray:
     return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
-def _conv_forward(xd, wd, stride, padding, groups, ho, wo):
-    b, cin, _, _ = xd.shape
-    out_c, cg, k, _ = wd.shape
-    xp = _pad_hw(xd, padding)
-    if groups == cin and out_c == cin and cg == 1:
-        out = np.zeros((b, cin, ho, wo), dtype=xd.dtype)
-        wk = wd[:, 0]
-        for i in range(k):
-            for j in range(k):
-                xs = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-                out += wk[:, i, j][None, :, None, None] * xs
-        return out
-    if groups == 1:
-        acc = np.zeros((b, ho, wo, out_c), dtype=xd.dtype)
-        for i in range(k):
-            for j in range(k):
-                xs = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-                acc += np.tensordot(xs, wd[:, :, i, j], axes=([1], [1]))
-        return np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
-    og = out_c // groups
-    wg = wd.reshape(groups, og, cg, k, k)
-    acc = np.zeros((b, groups, og, ho, wo), dtype=xd.dtype)
-    for i in range(k):
-        for j in range(k):
-            xs = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-            xs = xs.reshape(b, groups, cg, ho, wo)
-            acc += np.einsum("bgchw,goc->bgohw", xs, wg[:, :, :, i, j])
-    return acc.reshape(b, out_c, ho, wo)
+def _taps(k: int, stride: int, ho: int, wo: int) -> list:
+    """(i, j, window) per kernel tap; `window` indexes the padded input pixels
+    that tap (i, j) reads for every output pixel."""
+    return [
+        (i, j, (..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)))
+        for i in range(k)
+        for j in range(k)
+    ]
+
+
+# Per-tap channel mixes. `mix(acc, a, wt)` adds to acc the contraction of the
+# channels of a (B,C,H,W) map with an (out, in) tap matrix, and
+# `reduce(gy, xs)` gives that tap's weight gradient: a per-channel scale for
+# depthwise taps, one tensordot for dense ones. tensordot yields channels-last
+# maps, so the dense forward accumulates channels-last and every add streams.
+
+def _scale(acc, a, wt):
+    acc += wt.reshape(1, -1, 1, 1) * a
+
+
+def _scale_reduce(gy, xs):
+    return (gy * xs).sum(axis=(0, 2, 3))[:, None]
+
+
+def _dense(acc, a, wt):
+    acc_cl = acc.transpose(0, 2, 3, 1)
+    acc_cl += np.tensordot(a, wt, axes=([1], [1]))
+
+
+def _dense_reduce(gy, xs):
+    return np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
+
+
+_DEPTHWISE = (_scale, _scale_reduce, False)
+_DENSE = (_dense, _dense_reduce, True)
 
 
 def conv2d(
@@ -116,67 +129,48 @@ def conv2d(
         _require_same_dtype("conv2d", x.data, bias.data)
 
     xd, wd = x.data, w.data
-    out = _conv_forward(xd, wd, stride, padding, groups, ho, wo)
+    b, cin, h, wdim = xd.shape
+    depthwise = groups == cin == out_c
+    mix, reduce, channels_last = _DEPTHWISE if depthwise else _DENSE
+    # (input channels, output channels) of each independent block: the whole
+    # conv for depthwise and dense, one dense block per group otherwise.
+    nb = 1 if depthwise else groups
+    cb, ob = cin // nb, out_c // nb
+    blocks = [(slice(g * cb, (g + 1) * cb), slice(g * ob, (g + 1) * ob)) for g in range(nb)]
+    taps = _taps(k, stride, ho, wo)
+
+    xp = _pad_hw(xd, padding)
+    if channels_last:
+        out = np.zeros((b, ho, wo, out_c), dtype=xd.dtype).transpose(0, 3, 1, 2)
+    else:
+        out = np.zeros((b, out_c, ho, wo), dtype=xd.dtype)
+    for ci, co in blocks:
+        xb, acc, wb = xp[:, ci], out[:, co], wd[co]
+        for i, j, win in taps:
+            mix(acc, xb[win], wb[:, :, i, j])
+    out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data[None, :, None, None]
 
-    b, cin, h, wdim = xd.shape
     parents = (x, w) if bias is None else (x, w, bias)
 
     def backward(gy):
-        cg = cin // groups
-        depthwise = groups == cin and out_c == cin and cg == 1
         if x.requires_grad:
             dxp = np.zeros((b, cin, h + 2 * padding, wdim + 2 * padding), dtype=xd.dtype)
-            xp_slices = lambda i, j: (
-                slice(None),
-                slice(None),
-                slice(i, i + stride * ho, stride),
-                slice(j, j + stride * wo, stride),
-            )
-            if depthwise:
-                wk = wd[:, 0]
-                for i in range(k):
-                    for j in range(k):
-                        dxp[xp_slices(i, j)] += wk[:, i, j][None, :, None, None] * gy
-            elif groups == 1:
-                for i in range(k):
-                    for j in range(k):
-                        g = np.tensordot(gy, wd[:, :, i, j], axes=([1], [0]))
-                        dxp[xp_slices(i, j)] += g.transpose(0, 3, 1, 2)
-            else:
-                og = out_c // groups
-                wg = wd.reshape(groups, og, cg, k, k)
-                gyg = gy.reshape(b, groups, og, ho, wo)
-                for i in range(k):
-                    for j in range(k):
-                        g = np.einsum("bgohw,goc->bgchw", gyg, wg[:, :, :, i, j])
-                        dxp[xp_slices(i, j)] += g.reshape(b, cin, ho, wo)
+            for ci, co in blocks:
+                dxb, gb, wb = dxp[:, ci], gy[:, co], wd[co]
+                for i, j, win in taps:
+                    mix(dxb[win], gb, wb[:, :, i, j].T)
             if padding:
                 dxp = dxp[:, :, padding : padding + h, padding : padding + wdim]
             x.accumulate_grad(dxp)
         if w.requires_grad:
             xp = _pad_hw(xd, padding)
             dw = np.zeros_like(wd)
-            if depthwise:
-                for i in range(k):
-                    for j in range(k):
-                        xs = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-                        dw[:, 0, i, j] = (gy * xs).sum(axis=(0, 2, 3))
-            elif groups == 1:
-                for i in range(k):
-                    for j in range(k):
-                        xs = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-                        dw[:, :, i, j] = np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
-            else:
-                og = out_c // groups
-                gyg = gy.reshape(b, groups, og, ho, wo)
-                dwg = dw.reshape(groups, og, cg, k, k)
-                for i in range(k):
-                    for j in range(k):
-                        xs = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-                        xs = xs.reshape(b, groups, cg, ho, wo)
-                        dwg[:, :, :, i, j] = np.einsum("bgohw,bgchw->goc", gyg, xs)
+            for ci, co in blocks:
+                xb, gb, dwb = xp[:, ci], gy[:, co], dw[co]
+                for i, j, win in taps:
+                    dwb[:, :, i, j] = reduce(gb, xb[win])
             w.accumulate_grad(dw)
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(gy.sum(axis=(0, 2, 3)))

@@ -211,10 +211,12 @@ def test_ablate_unknown_preset_exits_2(capsys):
         ["toy-train", "--steps", "1", "--batch-size", "-2"],
         ["toy-train", "--steps", "1", "--samples", "0"],
         ["toy-train", "--steps", "1", "--samples", "-1"],
+        *(["toy-train", "--steps", "1", "--size", s] for s in ["0", "8", "12", "16", "24", "33"]),
         ["verify-fuse", "--trials", "0"],
         ["verify-fuse", "--trials", "-1"],
         ["verify-fuse", "--trials", "0", "--mode", "model"],
         ["verify-fuse", "--trials", "-1", "--mode", "model"],
+        ["erf", "--random-inputs", "-1"],
     ],
     ids=" ".join,
 )
