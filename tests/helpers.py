@@ -2,7 +2,8 @@
 
 The convolution oracle is a direct nested-loop evaluation of the definition,
 written in plain Python so it shares nothing with the library's offset
-decomposition path.
+decomposition path. The sigmoid oracle is the original boolean-mask form of
+``ops._sigmoid``, kept as the bitwise reference for its mask-free rewrite.
 """
 
 import numpy as np
@@ -38,6 +39,17 @@ def naive_conv2d(x, w, bias=None, stride=1, padding=None, groups=1):
                     if bias is not None:
                         acc += float(bias[o])
                     out[b, o, i, j] = acc
+    return out
+
+
+def mask_sigmoid(xd: np.ndarray) -> np.ndarray:
+    """Reference logistic sigmoid: each sign is evaluated on its own masked
+    subset, so no ``exp`` argument is ever positive."""
+    out = np.empty_like(xd)
+    pos = xd >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
+    ex = np.exp(xd[~pos])
+    out[~pos] = ex / (1.0 + ex)
     return out
 
 

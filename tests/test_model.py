@@ -13,6 +13,7 @@ from mafnet import (
     build_model,
     config_from_dict,
     config_to_dict,
+    count_ops,
     fuse_model,
     ghks_kernels,
     load_config,
@@ -77,6 +78,26 @@ def test_forward_requires_divisible_input():
     model.eval()
     with pytest.raises(ShapeError, match="divisible by 32"):
         model(Tensor(np.zeros((1, 3, 48, 48), dtype=np.float32)))
+
+
+def test_fused_nano_forward_op_mix():
+    # Structural gate on the deploy path: a per-kind op count does not drift
+    # with machine load the way wall time does.
+    model = build_model(nano_config())
+    model.eval()
+    fuse_model(model)
+    x = Tensor(rng(5).standard_normal((1, 3, 128, 128)).astype(np.float32))
+    with count_ops() as counts:
+        with no_grad():
+            model(x)
+    assert counts == {
+        "conv2d": 118,
+        "silu": 84,
+        "batchnorm_infer": 78,
+        "split_channels": 18,
+        "concat_channels": 14,
+        "upsample_nearest2x": 4,
+    }
 
 
 def test_nano_output_strides_at_full_resolution():

@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mafnet import ConfigError, ShapeError, Tensor
 from mafnet import ops
 from mafnet.gradcheck import DEFAULT_RTOL, check_gradients
 
-from helpers import identity_pointwise, naive_conv2d
+from helpers import identity_pointwise, mask_sigmoid, naive_conv2d
 
 
 rng = np.random.default_rng
@@ -220,6 +223,62 @@ def test_silu_values():
     assert y[0] == 0.0
     assert y[1] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-6)
     assert abs(y[2]) < 1e-7
+
+
+SIGMOID_SPECIALS = [
+    0.0, -0.0, np.inf, -np.inf, 88.7, -88.7, 104.0, -104.0,
+    709.0, -709.0, 746.0, -746.0, 1e30, -1e30,
+]
+UINT_VIEW = {np.float32: np.uint32, np.float64: np.uint64}
+
+
+def assert_sigmoid_bitwise(x):
+    """ops._sigmoid equals the mask-based oracle bit for bit, and neither
+    raises a floating-point warning (e.g. an overflowing exp)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ops._sigmoid(x)
+        ref = mask_sigmoid(np.ascontiguousarray(x))
+    assert got.dtype == x.dtype and got.shape == x.shape
+    view = UINT_VIEW[x.dtype.type]
+    np.testing.assert_array_equal(got.view(view), ref.view(view))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]).flatmap(
+    lambda dt: hnp.arrays(
+        dt,
+        hnp.array_shapes(min_dims=1, max_dims=4, max_side=6),
+        elements=st.floats(
+            width=np.finfo(dt).bits, allow_nan=False, allow_infinity=True, allow_subnormal=True
+        ),
+    )
+))
+def test_sigmoid_bitwise_equals_mask_oracle(x):
+    assert_sigmoid_bitwise(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bitwise_on_special_values(dtype):
+    tiny = np.finfo(dtype).smallest_subnormal
+    vals = SIGMOID_SPECIALS + [tiny, -tiny, np.finfo(dtype).max, np.finfo(dtype).min]
+    with np.errstate(over="ignore"):  # 1e30, 746 overflow float32 to inf
+        x = np.array(vals, dtype=np.float64).astype(dtype)
+    assert_sigmoid_bitwise(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_bitwise_on_strided_input(dtype):
+    x = (rng(21).standard_normal((2, 6, 9, 10)) * 30).astype(dtype)
+    assert_sigmoid_bitwise(x[:, ::2, 1:, ::3])
+    assert_sigmoid_bitwise(x.transpose(0, 2, 3, 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_nan_maps_to_nan(dtype):
+    x = np.array([np.nan, -np.nan, 1.0, -1.0, np.nan], dtype=dtype)
+    y = ops._sigmoid(x)
+    np.testing.assert_array_equal(np.isnan(y), np.isnan(x))
 
 
 def test_upsample_single_value():
