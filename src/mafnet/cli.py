@@ -121,12 +121,12 @@ def cmd_verify_fuse(args) -> int:
                 .astype(np.float32)
             )
             with no_grad():
-                t0 = time.time()
+                t0 = time.perf_counter()
                 with branch_path():
                     outs_train, _ = model.forward_taps(x)
-                t1 = time.time()
+                t1 = time.perf_counter()
                 outs_fused, _ = model.forward_taps(x)
-                t2 = time.time()
+                t2 = time.perf_counter()
             branch_s += t1 - t0
             fused_s += t2 - t1
             trial_worst = 0.0
@@ -213,9 +213,9 @@ def cmd_toy_train(args) -> int:
     cfg = toy_config(seed=args.seed)
     ds = make_blob_dataset(n=args.samples, size=args.size, seed=args.seed)
     model = ToyClassifier(cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = train_toy(model, ds, steps=args.steps, lr=args.lr, batch_size=args.batch_size)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     if args.out:
         write_curve_csv(result, args.out)
     if args.save_weights:

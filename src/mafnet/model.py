@@ -125,6 +125,7 @@ class Stage(Module):
 class Backbone(Module):
     def __init__(self, cfg: ModelConfig, rng, dtype):
         super().__init__()
+        self.in_channels = cfg.in_channels
         self.stem = ConvBN(cfg.in_channels, cfg.stem_width, 3, stride=2, rng=rng, dtype=dtype)
         stages = []
         prev = cfg.stem_width
@@ -136,6 +137,12 @@ class Backbone(Module):
         self.stages = ModuleList(stages)
 
     def forward(self, x):
+        # checked before any op runs, for every trunk that starts here
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
+            raise ShapeError(f"Model: input must be (B,{self.in_channels},H,W), got {x.shape}")
+        h, w = x.shape[2], x.shape[3]
+        if h % 32 or w % 32:
+            raise ShapeError(f"Model: input spatial dims {h}x{w} must be divisible by 32")
         taps = {}
         y = self.stem(x)
         taps["stem"] = y
@@ -182,13 +189,6 @@ class Model(Module):
         return outs
 
     def forward_taps(self, x: Tensor):
-        if x.ndim != 4 or x.shape[1] != self.cfg.in_channels:
-            raise ShapeError(
-                f"Model: input must be (B,{self.cfg.in_channels},H,W), got {x.shape}"
-            )
-        h, w = x.shape[2], x.shape[3]
-        if h % 32 or w % 32:
-            raise ShapeError(f"Model: input spatial dims {h}x{w} must be divisible by 32")
         taps = self.backbone(x)
         neck_outs, neck_taps = self.neck.forward_taps(taps)
         taps.update(neck_taps)

@@ -266,12 +266,10 @@ def batchnorm_train(
 # ---------------------------------------------------------------------------
 
 def _sigmoid(xd: np.ndarray) -> np.ndarray:
-    out = np.empty_like(xd)
-    pos = xd >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
-    ex = np.exp(xd[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # Both exp arguments are <= 0, so nothing overflows: x >= 0 gives
+    # 1 / (1 + exp(-x)) and x < 0 gives exp(x) / (1 + exp(x)), the same
+    # operations per element as evaluating each sign on its own mask.
+    return np.exp(np.minimum(xd, 0)) / (1.0 + np.exp(-np.abs(xd)))
 
 
 def silu(x: Tensor) -> Tensor:

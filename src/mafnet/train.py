@@ -21,6 +21,9 @@ from .modules import Conv2d, Module
 from .tensor import Tensor, no_grad
 
 
+BLOB_MARGIN = 6  # small-blob centres keep this far from every edge
+
+
 @dataclass
 class BlobDataset:
     images: np.ndarray  # (N, C, H, W) float32
@@ -36,6 +39,8 @@ def make_blob_dataset(
     """Deterministic blob images: class 0 = small blobs, class 1 = one large blob."""
     if n < 1:
         raise ConfigError(f"make_blob_dataset: n must be >= 1, got {n}")
+    if size < 2 * BLOB_MARGIN:
+        raise ConfigError(f"make_blob_dataset: size must be >= {2 * BLOB_MARGIN}, got {size}")
     rng = np.random.default_rng(seed)
     images = np.zeros((n, channels, size, size), dtype=np.float32)
     labels = np.zeros(n, dtype=np.int64)
@@ -45,7 +50,7 @@ def make_blob_dataset(
         canvas = np.zeros((size, size))
         if label == 0:
             for _ in range(rng.integers(3, 6)):
-                cy, cx = rng.uniform(6, size - 6, 2)
+                cy, cx = rng.uniform(BLOB_MARGIN, size - BLOB_MARGIN, 2)
                 sigma = rng.uniform(1.0, 1.8)
                 canvas += np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
         else:

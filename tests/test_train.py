@@ -3,8 +3,12 @@ import pytest
 
 from mafnet import (
     BlobDataset,
+    ConfigError,
     NumericalError,
+    ShapeError,
+    Tensor,
     ToyClassifier,
+    count_ops,
     make_blob_dataset,
     toy_config,
     train_toy,
@@ -18,6 +22,26 @@ def test_dataset_is_deterministic():
     assert a.labels.tolist() == b.labels.tolist()
     assert a.images.shape == (8, 3, 32, 32)
     assert set(a.labels.tolist()) == {0, 1}
+
+
+@pytest.mark.parametrize("size", [-1, 0, 8, 11])
+def test_dataset_rejects_size_below_blob_margins(size):
+    with pytest.raises(ConfigError, match="size must be >= 12"):
+        make_blob_dataset(n=2, size=size)
+
+
+def test_dataset_accepts_minimum_size():
+    assert make_blob_dataset(n=2, size=12).images.shape == (2, 3, 12, 12)
+
+
+@pytest.mark.parametrize("hw", [(33, 33), (32, 48), (16, 16)])
+def test_toy_classifier_rejects_indivisible_input_before_any_op(hw):
+    model = ToyClassifier(toy_config(seed=0))
+    x = Tensor(np.zeros((1, 3) + hw, dtype=np.float32))
+    with count_ops() as counts:
+        with pytest.raises(ShapeError, match=f"{hw[0]}x{hw[1]} must be divisible by 32"):
+            model(x)
+    assert counts == {}
 
 
 def test_zero_lr_keeps_loss_constant():
