@@ -3,7 +3,7 @@ import pytest
 
 from mafnet import Tensor
 from mafnet import ops
-from mafnet.gradcheck import run_gradcheck
+from mafnet.gradcheck import registry, run_gradcheck
 
 
 def test_sum_of_conv_weight_grad_is_border_clipped_count():
@@ -37,15 +37,57 @@ def test_branch_sum_distributes_grads():
     assert np.all(x.grad == 5.0)
 
 
-@pytest.mark.parametrize(
-    "group",
-    ["conv2d", "batchnorm", "silu", "upsample", "concat", "split", "pool", "cross_entropy"],
-)
-def test_finite_difference_ops(group):
-    ok, rows = run_gradcheck([group])
+# Every check's label and exact max relative error at seed 0, in registry
+# order. The checks are deterministic float64 computations, so a refactor of
+# the registry that keeps every RNG draw and op in place keeps these bitwise.
+GRADCHECK_GOLDEN = {
+    "conv2d": [
+        ("conv2d[k=1,g1,s=1]", "1.99972918338239e-09"),
+        ("conv2d[k=1,g1,s=2]", "3.41274936564518e-10"),
+        ("conv2d[k=1,dw,s=1]", "2.2907426931207213e-09"),
+        ("conv2d[k=1,dw,s=2]", "1.3542046856757394e-09"),
+        ("conv2d[k=3,g1,s=1]", "4.283072251264466e-09"),
+        ("conv2d[k=3,g1,s=2]", "2.112537435982249e-09"),
+        ("conv2d[k=3,dw,s=1]", "2.261771232233947e-09"),
+        ("conv2d[k=3,dw,s=2]", "3.154574081764784e-09"),
+        ("conv2d[k=7,g1,s=1]", "3.0513697309795392e-09"),
+        ("conv2d[k=7,g1,s=2]", "5.164149778366044e-09"),
+        ("conv2d[k=7,dw,s=1]", "9.849800909866137e-09"),
+        ("conv2d[k=7,dw,s=2]", "2.4937274747306008e-09"),
+    ],
+    "batchnorm": [
+        ("batchnorm[infer]", "6.067031604396489e-10"),
+        ("batchnorm[train]", "4.957704432125198e-09"),
+    ],
+    "silu": [("silu", "1.1204302835372731e-07")],
+    "upsample": [("upsample", "7.114207361820346e-11")],
+    "concat": [("concat", "1.420688492631957e-09")],
+    "split": [("split", "1.468753322580235e-09")],
+    "pool": [("pool", "6.006492806162707e-11")],
+    "cross_entropy": [("cross_entropy", "1.3924556999597155e-09")],
+    "rephdw": [("rephdw", "1.849950473442109e-09")],
+    "bottleneck": [("bottleneck", "8.905224256351235e-07")],
+    "saf": [("saf", "3.5011873819116156e-08")],
+    "aaf": [("aaf", "1.938920614162077e-07")],
+}
+COMPOSITES = ["rephdw", "bottleneck"]
+
+
+def _assert_golden(groups):
+    ok, rows = run_gradcheck(groups)
     assert ok, rows
+    got = [(label, repr(err)) for label, err, _ in rows]
+    assert got == [row for g in groups for row in GRADCHECK_GOLDEN[g]]
+
+
+@pytest.mark.parametrize("group", [g for g in GRADCHECK_GOLDEN if g not in COMPOSITES])
+def test_finite_difference_ops(group):
+    _assert_golden([group])
 
 
 def test_finite_difference_composites():
-    ok, rows = run_gradcheck(["rephdw", "bottleneck"])
-    assert ok, rows
+    _assert_golden(COMPOSITES)
+
+
+def test_gradcheck_golden_covers_registry():
+    assert list(GRADCHECK_GOLDEN) == list(registry())

@@ -12,7 +12,9 @@ import hashlib
 
 import pytest
 
-from mafnet import build_model, count_costs, nano_config, toy_config
+from mafnet import ToyClassifier, build_model, count_costs, nano_config, toy_config
+from mafnet.cli import _ablate_rows
+from mafnet.model import config_to_dict
 
 # (config, enable_saf, enable_aaf) -> (sha256 over state_entries, params @ 640)
 GOLDEN = {
@@ -27,6 +29,35 @@ GOLDEN = {
 }
 
 CONFIGS = {"toy": toy_config, "nano": nano_config}
+
+# ToyClassifier(toy_config(seed=3)): the Backbone + MAFPN trunk, then the head
+TOY_CLASSIFIER_GOLDEN = "f02224b9e29c12ed351f3d48eef7cd7f095b40b8d36cc7c267a0443cd3cc03b7"
+
+# Ablation rows in order: (label, toggles switched off). Every row is the nano
+# config with these toggles off; use_elan/use_rep/use_large are set on both
+# the model and its neck, enable_saf/enable_aaf on the neck.
+ABLATE_GOLDEN = {
+    "table2": [
+        ("plain", ("use_elan", "use_large", "use_rep")),
+        ("elan", ("use_large", "use_rep")),
+        ("elan+rep", ("use_large",)),
+        ("elan+lk", ("use_rep",)),
+        ("lk+rep", ("use_elan",)),
+        ("elan+lk+rep", ()),
+    ],
+    "table3": [
+        ("none", ("enable_saf", "enable_aaf")),
+        ("saf", ("enable_aaf",)),
+        ("aaf", ("enable_saf",)),
+        ("saf+aaf", ()),
+    ],
+    "table5": [
+        ("baseline", ("enable_saf", "enable_aaf", "use_elan", "use_rep", "use_large")),
+        ("+neck", ("use_elan", "use_rep", "use_large")),
+        ("+blocks", ("use_large",)),
+        ("+kernels", ()),
+    ],
+}
 
 
 def state_digest(model) -> str:
@@ -48,3 +79,21 @@ def test_build_matches_golden_digest(key):
     digest, params = GOLDEN[key]
     assert state_digest(model) == digest
     assert count_costs(model, 640).total_params == params
+
+
+def test_toy_classifier_matches_golden_digest():
+    assert state_digest(ToyClassifier(toy_config(seed=3))) == TOY_CLASSIFIER_GOLDEN
+
+
+@pytest.mark.parametrize("preset", list(ABLATE_GOLDEN))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ablate_rows_match_golden_configs(preset, seed):
+    rows = _ablate_rows(preset, seed)
+    assert [label for label, _ in rows] == [label for label, _ in ABLATE_GOLDEN[preset]]
+    for (label, cfg), (_, off) in zip(rows, ABLATE_GOLDEN[preset]):
+        want = config_to_dict(nano_config(seed=seed))
+        for toggle in off:
+            if toggle.startswith("use_"):
+                want[toggle] = False
+            want["neck"][toggle] = False
+        assert config_to_dict(cfg) == want, label
