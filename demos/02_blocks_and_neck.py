@@ -44,7 +44,7 @@ for edge in neck.wiring_edges():
     print("  " + edge)
 
 print("\n== backbone lineage of each output ==")
-lineage = backbone_lineage(neck.wiring_edges())
+lineage = backbone_lineage(neck)
 for out in ("N3", "N4", "N5"):
     print(f"  {out} sees {sorted(lineage[out])}")
 

@@ -101,23 +101,43 @@ class CostReport:
         return "\n".join(lines)
 
 
+def _classify(m: Module):
+    """(kind, params, weight params, inventory fields) of a layer; None otherwise.
+
+    Kinds are conv, dwconv, bn and rephdw; a RepHDWConv's counts are those of
+    its fused single-kernel form, which is the only form it is costed in.
+    """
+    if isinstance(m, Conv2d):
+        s = m.spec
+        fields = {"kernel": s.kernel, "in": s.in_channels, "out": s.out_channels,
+                  "stride": s.stride}
+        return "dwconv" if s.depthwise else "conv", s.param_count(), s.weight_param_count(), fields
+    if isinstance(m, BatchNorm2d):
+        return "bn", 2 * m.channels, m.channels, {"channels": m.channels}
+    if isinstance(m, RepHDWConv):
+        c, k = m.channels, m.kernel
+        fields = {"kernel": k, "branch_kernels": list(m.branch_kernels), "channels": c,
+                  "fused": m.fused}
+        return "rephdw", c * k * k + c, c * k * k, fields
+    return None
+
+
 def _probe_record(module: Module, in_channels: int, probe_hw: int, batch: int):
     """Run an eval-mode probe forward, collecting one record per costed layer."""
     names = {id(m): n for n, m in module.named_modules()}
     records: list[tuple[str, str, int, int, tuple]] = []
 
     def observer(m, out):
-        if isinstance(m, Conv2d):
-            s = m.spec
-            records.append(
-                (names[id(m)], "dwconv" if s.depthwise else "conv",
-                 s.param_count(), s.weight_param_count(), out.shape)
-            )
-        elif isinstance(m, BatchNorm2d):
-            records.append((names[id(m)], "bn", 2 * m.channels, m.channels, out.shape))
-        elif isinstance(m, RepHDWConv) and m.fused and not m.training:
-            c, k = m.channels, m.kernel
-            records.append((names[id(m)], "dwconv-fused", c * k * k + c, c * k * k, out.shape))
+        layer = _classify(m)
+        if layer is None:
+            return
+        kind, params, weights, _ = layer
+        if kind == "rephdw":
+            # only a fused unit runs as one conv; otherwise its branches are costed
+            if not m.fused or m.training:
+                return
+            kind = "dwconv-fused"
+        records.append((names[id(m)], kind, params, weights, out.shape))
 
     was_training = module.training
     module.eval()
@@ -125,10 +145,7 @@ def _probe_record(module: Module, in_channels: int, probe_hw: int, batch: int):
     try:
         with no_grad():
             x = Tensor(np.zeros((batch, in_channels, probe_hw, probe_hw), dtype=np.float32))
-            if hasattr(module, "forward_taps"):
-                module.forward_taps(x)
-            else:
-                module(x)
+            module.forward_taps(x)
     finally:
         modules.set_forward_observer(None)
         if was_training:
@@ -197,31 +214,10 @@ def layer_inventory(module: Module) -> list[dict]:
     """Static description of every conv/BN/rep unit in the module tree."""
     rows = []
     for name, m in module.named_modules():
-        if isinstance(m, Conv2d):
-            s = m.spec
-            rows.append(
-                {
-                    "name": name,
-                    "kind": "dwconv" if s.depthwise else "conv",
-                    "kernel": s.kernel,
-                    "in": s.in_channels,
-                    "out": s.out_channels,
-                    "stride": s.stride,
-                }
-            )
-        elif isinstance(m, BatchNorm2d):
-            rows.append({"name": name, "kind": "bn", "channels": m.channels})
-        elif isinstance(m, RepHDWConv):
-            rows.append(
-                {
-                    "name": name,
-                    "kind": "rephdw",
-                    "kernel": m.kernel,
-                    "branch_kernels": list(m.branch_kernels),
-                    "channels": m.channels,
-                    "fused": m.fused,
-                }
-            )
+        layer = _classify(m)
+        if layer is not None:
+            kind, _, _, fields = layer
+            rows.append({"name": name, "kind": kind, **fields})
     return rows
 
 

@@ -9,7 +9,9 @@ NaN/Inf detection.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -29,7 +31,7 @@ from .model import (
     rep_units,
     toy_config,
 )
-from .repconv import branch_path, randomize_bn_stats, randomize_weights
+from .repconv import branch_path, fuse_equivalence_deviation, randomize_bn_stats, randomize_weights
 from .serialize import load_weights, save_weights
 from .tensor import Tensor, no_grad
 from .train import ToyClassifier, make_blob_dataset, train_toy, write_curve_csv
@@ -44,6 +46,12 @@ def _load_model_config(args) -> ModelConfig:
     if getattr(args, "config", None):
         return load_config(args.config)
     return nano_config(seed=getattr(args, "seed", 0))
+
+
+def _check_tol(command: str, tol: float) -> None:
+    # nan, inf or < 0 make every comparison a vacuous PASS or FAIL; 0 asks for equality
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"{command}: --tol must be finite and >= 0, got {tol}")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -77,9 +85,10 @@ def cmd_summary(args) -> int:
 def cmd_verify_fuse(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"verify-fuse: --trials must be >= 1, got {args.trials}")
-    cfg = _load_model_config(args)
     if args.tol is None:
         args.tol = 1e-4 if args.mode == "unit" else 1e-3
+    _check_tol("verify-fuse", args.tol)
+    cfg = _load_model_config(args)
     model = build_model(cfg)
     if args.weights:
         load_weights(model, args.weights)
@@ -95,15 +104,10 @@ def cmd_verify_fuse(args) -> int:
                 if not args.weights:
                     randomize_weights(unit, rng)
                     randomize_bn_stats(unit, rng)
-                unit.fuse()
                 x = Tensor(
                     rng.standard_normal((2, unit.channels, 16, 16)).astype(np.float32)
                 )
-                with no_grad():
-                    dev = float(
-                        np.abs(unit.forward_train(x).data - unit.forward_fused(x).data).max()
-                    )
-                unit_worst = max(unit_worst, dev)
+                unit_worst = max(unit_worst, fuse_equivalence_deviation(unit, x))
             worst = max(worst, unit_worst)
             lines.append((name, unit_worst))
     else:
@@ -162,6 +166,7 @@ def cmd_gradcheck(args) -> int:
     names = [s for s in args.ops.split(",") if s]
     if not names:
         raise ConfigError("gradcheck: empty op list")
+    _check_tol("gradcheck", args.tol)
     ok, rows = gc.run_gradcheck(names, rtol=args.tol, seed=args.seed)
     payload = {
         "tol": args.tol,
@@ -234,49 +239,42 @@ def cmd_toy_train(args) -> int:
     return EXIT_OK
 
 
+# Ablation presets, one row per variant: (preset, label, toggles switched off).
+# use_elan/use_rep/use_large apply to the backbone and the neck alike;
+# enable_saf/enable_aaf are neck-only.
+ABLATIONS = (
+    ("table2", "plain", ("use_elan", "use_large", "use_rep")),
+    ("table2", "elan", ("use_large", "use_rep")),
+    ("table2", "elan+rep", ("use_large",)),
+    ("table2", "elan+lk", ("use_rep",)),
+    ("table2", "lk+rep", ("use_elan",)),
+    ("table2", "elan+lk+rep", ()),
+    ("table3", "none", ("enable_saf", "enable_aaf")),
+    ("table3", "saf", ("enable_aaf",)),
+    ("table3", "aaf", ("enable_saf",)),
+    ("table3", "saf+aaf", ()),
+    ("table5", "baseline", ("enable_saf", "enable_aaf", "use_elan", "use_rep", "use_large")),
+    ("table5", "+neck", ("use_elan", "use_rep", "use_large")),
+    ("table5", "+blocks", ("use_large",)),
+    ("table5", "+kernels", ()),
+)
+
+
+def _ablation_config(off, seed: int) -> ModelConfig:
+    c = nano_config(seed=seed)
+    for toggle in off:
+        if hasattr(c, toggle):
+            setattr(c, toggle, False)
+    c.neck = dataclasses.replace(c.neck, **dict.fromkeys(off, False))
+    return c
+
+
 def _ablate_rows(preset: str, seed: int):
     """(label, ModelConfig) grid for a structure-toggle preset."""
-    import dataclasses
-
-    def cfg(saf=True, aaf=True, elan=True, rep=True, large=True):
-        c = nano_config(seed=seed)
-        c.use_elan = elan
-        c.use_rep = rep
-        c.use_large = large
-        c.neck = dataclasses.replace(
-            c.neck,
-            enable_saf=saf,
-            enable_aaf=aaf,
-            use_elan=elan,
-            use_rep=rep,
-            use_large=large,
-        )
-        return c
-
-    if preset == "table2":
-        return [
-            ("plain", cfg(elan=False, large=False, rep=False)),
-            ("elan", cfg(elan=True, large=False, rep=False)),
-            ("elan+rep", cfg(elan=True, large=False, rep=True)),
-            ("elan+lk", cfg(elan=True, large=True, rep=False)),
-            ("lk+rep", cfg(elan=False, large=True, rep=True)),
-            ("elan+lk+rep", cfg(elan=True, large=True, rep=True)),
-        ]
-    if preset == "table3":
-        return [
-            ("none", cfg(saf=False, aaf=False)),
-            ("saf", cfg(saf=True, aaf=False)),
-            ("aaf", cfg(saf=False, aaf=True)),
-            ("saf+aaf", cfg(saf=True, aaf=True)),
-        ]
-    if preset == "table5":
-        return [
-            ("baseline", cfg(saf=False, aaf=False, elan=False, rep=False, large=False)),
-            ("+neck", cfg(saf=True, aaf=True, elan=False, rep=False, large=False)),
-            ("+blocks", cfg(saf=True, aaf=True, elan=True, rep=True, large=False)),
-            ("+kernels", cfg(saf=True, aaf=True, elan=True, rep=True, large=True)),
-        ]
-    raise ConfigError(f"unknown ablation preset {preset!r} (table2|table3|table5)")
+    rows = [(label, _ablation_config(off, seed)) for p, label, off in ABLATIONS if p == preset]
+    if not rows:
+        raise ConfigError(f"unknown ablation preset {preset!r} (table2|table3|table5)")
+    return rows
 
 
 def cmd_ablate(args) -> int:

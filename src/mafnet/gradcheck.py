@@ -9,13 +9,14 @@ produce spurious failures.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import ops
 from .blocks import Bottleneck, BottleneckConfig
 from .errors import ConfigError
 from .mafpn import SAFFuse, AAFFuse
-from .modules import Module
 from .repconv import RepHDWConv, randomize_bn_stats
 from .tensor import Tensor, no_grad
 
@@ -78,230 +79,130 @@ def check_gradients(
 
 # ---------------------------------------------------------------------------
 # named checks (small random instances, float64)
+#
+# Each row of CHECKS is (family, label, build). build(rng) draws the inputs
+# from the seeded generator and returns (fn, arrays) for check_gradients;
+# module checks also differentiate every parameter, evaluated in eval mode.
 # ---------------------------------------------------------------------------
 
-def _rng(seed):
-    return np.random.default_rng(seed)
+def _op(fn, scale=1.0, **shapes):
+    """Standard-normal inputs (times `scale`), drawn in keyword order."""
+    return lambda rng: (fn, {k: rng.standard_normal(s) * scale for k, s in shapes.items()})
 
 
-def _rand(rng, *shape):
-    return rng.standard_normal(shape)
+def _conv2d(kernel, depthwise, stride):
+    def build(rng):
+        cin = 4
+        groups, cout, cg = (cin, cin, 1) if depthwise else (1, 3, cin)
+        arrays = {
+            "x": rng.standard_normal((2, cin, 8, 8)),
+            "w": rng.standard_normal((cout, cg, kernel, kernel)) * 0.5,
+            "b": rng.standard_normal(cout) * 0.1,
+        }
+        return lambda t: ops.conv2d(t["x"], t["w"], t["b"], stride=stride, groups=groups), arrays
+
+    return build
 
 
-def check_conv2d(kernel=3, depthwise=False, stride=1, seed=0) -> float:
-    rng = _rng(seed)
-    cin = 4
-    if depthwise:
-        groups, cout, cg = cin, cin, 1
-    else:
-        groups, cout, cg = 1, 3, cin
-    x = _rand(rng, 2, cin, 8, 8)
-    w = _rand(rng, cout, cg, kernel, kernel) * 0.5
-    b = _rand(rng, cout) * 0.1
+def _batchnorm(train):
+    def build(rng):
+        n, c = (3, 4) if train else (2, 5)
+        arrays = {
+            "x": rng.standard_normal((n, c, 4, 4)),
+            "gamma": rng.standard_normal(c) * 0.5 + 1.0,
+            "beta": rng.standard_normal(c) * 0.2,
+        }
+        if train:
+            return lambda t: ops.batchnorm_train(t["x"], t["gamma"], t["beta"], 1e-5)[0], arrays
+        mean = rng.standard_normal(c) * 0.3
+        var = rng.uniform(0.5, 2.0, c)
+        return lambda t: ops.batchnorm_infer(t["x"], t["gamma"], t["beta"], mean, var, 1e-5), arrays
 
-    def fn(t):
-        return ops.conv2d(t["x"], t["w"], t["b"], stride=stride, groups=groups)
-
-    return check_gradients(fn, {"x": x, "w": w, "b": b}, seed=seed)
-
-
-def check_batchnorm_infer(seed=0) -> float:
-    rng = _rng(seed)
-    c = 5
-    x = _rand(rng, 2, c, 4, 4)
-    gamma = _rand(rng, c) * 0.5 + 1.0
-    beta = _rand(rng, c) * 0.2
-    mean = _rand(rng, c) * 0.3
-    var = rng.uniform(0.5, 2.0, c)
-
-    def fn(t):
-        return ops.batchnorm_infer(t["x"], t["gamma"], t["beta"], mean, var, eps=1e-5)
-
-    return check_gradients(fn, {"x": x, "gamma": gamma, "beta": beta}, seed=seed)
+    return build
 
 
-def check_batchnorm_train(seed=0) -> float:
-    rng = _rng(seed)
-    c = 4
-    x = _rand(rng, 3, c, 4, 4)
-    gamma = _rand(rng, c) * 0.5 + 1.0
-    beta = _rand(rng, c) * 0.2
-
-    def fn(t):
-        y, _, _ = ops.batchnorm_train(t["x"], t["gamma"], t["beta"], eps=1e-5)
-        return y
-
-    return check_gradients(fn, {"x": x, "gamma": gamma, "beta": beta}, seed=seed)
+def _split(t):
+    parts = ops.split_channels(t["x"], [2, 3, 1])
+    # rescale each piece differently so every split output contributes
+    return ops.concat_channels([ops.mul_scalar(p, s) for s, p in zip((1.0, -2.0, 0.5), parts)])
 
 
-def check_silu(seed=0) -> float:
-    x = _rand(_rng(seed), 2, 3, 5, 5) * 3.0
-    return check_gradients(lambda t: ops.silu(t["x"]), {"x": x}, seed=seed)
-
-
-def check_upsample(seed=0) -> float:
-    x = _rand(_rng(seed), 2, 3, 4, 4)
-    return check_gradients(lambda t: ops.upsample_nearest2x(t["x"]), {"x": x}, seed=seed)
-
-
-def check_concat(seed=0) -> float:
-    rng = _rng(seed)
-    a, b, c = _rand(rng, 2, 2, 4, 4), _rand(rng, 2, 3, 4, 4), _rand(rng, 2, 1, 4, 4)
-
-    def fn(t):
-        return ops.concat_channels([t["a"], t["b"], t["c"]])
-
-    return check_gradients(fn, {"a": a, "b": b, "c": c}, seed=seed)
-
-
-def check_split(seed=0) -> float:
-    rng = _rng(seed)
-    x = _rand(rng, 2, 6, 4, 4)
-    scales = [1.0, -2.0, 0.5]
-
-    def fn(t):
-        parts = ops.split_channels(t["x"], [2, 3, 1])
-        # rescale each piece differently so every split output contributes
-        return ops.concat_channels([ops.mul_scalar(p, s) for s, p in zip(scales, parts)])
-
-    return check_gradients(fn, {"x": x}, seed=seed)
-
-
-def check_pool(seed=0) -> float:
-    x = _rand(_rng(seed), 2, 3, 6, 6)
-    return check_gradients(lambda t: ops.global_avg_pool(t["x"]), {"x": x}, seed=seed)
-
-
-def check_cross_entropy(seed=0) -> float:
-    rng = _rng(seed)
-    x = _rand(rng, 5, 3)
+def _cross_entropy(rng):
+    x = rng.standard_normal((5, 3))
     labels = rng.integers(0, 3, 5)
-
-    def fn(t):
-        return ops.softmax_cross_entropy(t["x"], labels)
-
-    return check_gradients(fn, {"x": x}, seed=seed)
+    return lambda t: ops.softmax_cross_entropy(t["x"], labels), {"x": x}
 
 
-def rebind_params(module: Module):
-    """Return (params, binder); binder(t) swaps tape tensors in by name.
+def _module(make, call, **input_shapes):
+    """make(rng) builds the module; call(module, t) runs it on the tape tensors.
 
-    Lets check_gradients treat every module parameter as a leaf: each forward
-    rebinds the parameter slots to the (possibly perturbed) tape tensors.
+    Each forward first rebinds the parameter slots to the (possibly
+    perturbed) tape tensors, so every parameter is a leaf of the check.
     """
-    params = dict(module.named_parameters())
-    module_by_path = dict(module.named_modules())
 
-    def binder(t):
-        for name in params:
-            mod_path, _, attr = name.rpartition(".")
-            m = module_by_path[mod_path]
-            m._params[attr] = t[name]
-            object.__setattr__(m, attr, t[name])
+    def build(rng):
+        module = make(rng)
+        randomize_bn_stats(module, rng)
+        arrays = {k: rng.standard_normal(s) for k, s in input_shapes.items()}
+        module.eval()
+        params = dict(module.named_parameters())
+        owners = dict(module.named_modules())
+        arrays.update({k: p.data.astype(np.float64) for k, p in params.items()})
 
-    return params, binder
+        def fn(t):
+            for name in params:
+                path, _, attr = name.rpartition(".")
+                setattr(owners[path], attr, t[name])
+            return call(module, t)
+
+        return fn, arrays
+
+    return build
 
 
-def _module_check(module: Module, x: np.ndarray, seed: int) -> float:
-    """FD-check a single-input module's input and every parameter (eval mode)."""
-    module.eval()
-    params, binder = rebind_params(module)
-    arrays = {"x": x}
-    arrays.update({k: p.data.astype(np.float64) for k, p in params.items()})
+CHECKS = (
+    *(
+        ("conv2d", f"conv2d[k={k},{'dw' if dw else 'g1'},s={s}]", _conv2d(k, dw, s))
+        for k in (1, 3, 7) for dw in (False, True) for s in (1, 2)
+    ),
+    ("batchnorm", "batchnorm[infer]", _batchnorm(train=False)),
+    ("batchnorm", "batchnorm[train]", _batchnorm(train=True)),
+    ("silu", "silu", _op(lambda t: ops.silu(t["x"]), 3.0, x=(2, 3, 5, 5))),
+    ("upsample", "upsample", _op(lambda t: ops.upsample_nearest2x(t["x"]), x=(2, 3, 4, 4))),
+    ("concat", "concat", _op(lambda t: ops.concat_channels([t["a"], t["b"], t["c"]]),
+                             a=(2, 2, 4, 4), b=(2, 3, 4, 4), c=(2, 1, 4, 4))),
+    ("split", "split", _op(_split, x=(2, 6, 4, 4))),
+    ("pool", "pool", _op(lambda t: ops.global_avg_pool(t["x"]), x=(2, 3, 6, 6))),
+    ("cross_entropy", "cross_entropy", _cross_entropy),
+    ("rephdw", "rephdw", _module(
+        lambda rng: RepHDWConv(3, 5, rng=rng, dtype=np.float64),
+        lambda m, t: m(t["x"]), x=(2, 3, 6, 6))),
+    ("bottleneck", "bottleneck", _module(
+        lambda rng: Bottleneck(BottleneckConfig(channels=3, expansion=2.0, kernel=7, use_rep=True),
+                               rng=rng, dtype=np.float64),
+        lambda m, t: m(t["x"]), x=(1, 3, 8, 8))),
+    ("saf", "saf", _module(
+        lambda rng: SAFFuse(shallow_ch=2, same_ch=3, deep_ch=4, ratio=0.5, rng=rng,
+                            dtype=np.float64),
+        lambda m, t: m(t["shallow"], t["same"], t["deep"]),
+        shallow=(1, 2, 8, 8), same=(1, 3, 4, 4), deep=(1, 4, 2, 2))),
+    ("aaf", "aaf", _module(
+        lambda rng: AAFFuse(3, p1_prev_ch=2, p2_prev_ch=3, deep_ch=4, rng=rng, dtype=np.float64),
+        lambda m, t: m(t["same"], p1_prev=t["p1"], p2_prev=t["p2"], deep=t["deep"]),
+        p1=(1, 2, 8, 8), p2=(1, 3, 8, 8), same=(1, 3, 4, 4), deep=(1, 4, 2, 2))),
+)
 
-    def fn(t):
-        binder(t)
-        return module(t["x"])
 
+def _run(build, seed=0) -> float:
+    fn, arrays = build(np.random.default_rng(seed))
     return check_gradients(fn, arrays, seed=seed)
-
-
-def check_rephdw(seed=0) -> float:
-    rng = _rng(seed)
-    unit = RepHDWConv(3, 5, rng=rng, dtype=np.float64)
-    randomize_bn_stats(unit, rng)
-    x = _rand(rng, 2, 3, 6, 6)
-    return _module_check(unit, x, seed)
-
-
-def check_bottleneck(seed=0) -> float:
-    rng = _rng(seed)
-    cfg = BottleneckConfig(channels=3, expansion=2.0, kernel=7, use_rep=True)
-    block = Bottleneck(cfg, rng=rng, dtype=np.float64)
-    randomize_bn_stats(block, rng)
-    x = _rand(rng, 1, 3, 8, 8)
-    return _module_check(block, x, seed)
-
-
-def check_saf(seed=0) -> float:
-    rng = _rng(seed)
-    node = SAFFuse(shallow_ch=2, same_ch=3, deep_ch=4, ratio=0.5, rng=rng, dtype=np.float64)
-    randomize_bn_stats(node, rng)
-    shallow = _rand(rng, 1, 2, 8, 8)
-    same = _rand(rng, 1, 3, 4, 4)
-    deep = _rand(rng, 1, 4, 2, 2)
-    node.eval()
-    params, binder = rebind_params(node)
-
-    def fn(t):
-        binder(t)
-        return node(t["shallow"], t["same"], t["deep"])
-
-    arrays = {"shallow": shallow, "same": same, "deep": deep}
-    arrays.update({k: p.data.astype(np.float64) for k, p in params.items()})
-    return check_gradients(fn, arrays, seed=seed)
-
-
-def check_aaf(seed=0) -> float:
-    rng = _rng(seed)
-    node = AAFFuse(
-        3, assist_ch=None, p1_prev_ch=2, p2_prev_ch=3, deep_ch=4, rng=rng, dtype=np.float64
-    )
-    randomize_bn_stats(node, rng)
-    p1 = _rand(rng, 1, 2, 8, 8)
-    p2 = _rand(rng, 1, 3, 8, 8)
-    same = _rand(rng, 1, 3, 4, 4)
-    deep = _rand(rng, 1, 4, 2, 2)
-    node.eval()
-    params, binder = rebind_params(node)
-
-    def fn(t):
-        binder(t)
-        return node(t["same"], p1_prev=t["p1"], p2_prev=t["p2"], deep=t["deep"])
-
-    arrays = {"p1": p1, "p2": p2, "same": same, "deep": deep}
-    arrays.update({k: p.data.astype(np.float64) for k, p in params.items()})
-    return check_gradients(fn, arrays, seed=seed)
-
-
-def conv_variants() -> list[tuple[str, dict]]:
-    out = []
-    for kernel in (1, 3, 7):
-        for depthwise in (False, True):
-            for stride in (1, 2):
-                label = f"conv2d[k={kernel},{'dw' if depthwise else 'g1'},s={stride}]"
-                out.append((label, dict(kernel=kernel, depthwise=depthwise, stride=stride)))
-    return out
 
 
 def registry() -> dict:
-    checks: dict[str, list] = {"conv2d": []}
-    for label, kw in conv_variants():
-        checks["conv2d"].append((label, lambda seed=0, kw=kw: check_conv2d(seed=seed, **kw)))
-    checks["batchnorm"] = [
-        ("batchnorm[infer]", check_batchnorm_infer),
-        ("batchnorm[train]", check_batchnorm_train),
-    ]
-    checks["silu"] = [("silu", check_silu)]
-    checks["upsample"] = [("upsample", check_upsample)]
-    checks["concat"] = [("concat", check_concat)]
-    checks["split"] = [("split", check_split)]
-    checks["pool"] = [("pool", check_pool)]
-    checks["cross_entropy"] = [("cross_entropy", check_cross_entropy)]
-    checks["rephdw"] = [("rephdw", check_rephdw)]
-    checks["bottleneck"] = [("bottleneck", check_bottleneck)]
-    checks["saf"] = [("saf", check_saf)]
-    checks["aaf"] = [("aaf", check_aaf)]
+    """{family: [(label, check(seed=0) -> max rel err), ...]} in CHECKS order."""
+    checks: dict[str, list] = {}
+    for family, label, build in CHECKS:
+        checks.setdefault(family, []).append((label, functools.partial(_run, build)))
     return checks
 
 

@@ -9,7 +9,8 @@ upsampled deeper lane. Each fusion node feeds a RepHELAN block; the three
 second-pathway outputs (strides 8/16/32) are the neck outputs.
 
 The wiring is written once, as data: NECK_NODES lists every fusion node and
-its lanes. MAFPN builds, runs and lists its edges from that table.
+its lanes. MAFPN builds, runs and lists its edges from that table, and
+backbone_lineage walks it.
 """
 
 from __future__ import annotations
@@ -300,26 +301,15 @@ class MAFPN(Module):
         return edges + [f"{node} -> {out} [output]" for node, out in NECK_OUTPUTS]
 
 
-def backbone_lineage(edges: list[str]) -> dict[str, set[str]]:
-    """Taint-propagate backbone taps through the wiring graph.
+def backbone_lineage(neck: MAFPN) -> dict[str, set[str]]:
+    """Backbone levels (P2..P5) whose information can reach each neck node.
 
-    Returns, for each node, the set of backbone levels (P2..P5) whose
-    information can reach it.
+    Keys are the neck's nodes, then its outputs (N3..N5), in table order;
+    the rows are in forward order, so every lane source is already known.
     """
-    parents: dict[str, list[str]] = {}
-    for e in edges:
-        src, rest = e.split(" -> ")
-        dst = rest.split(" [")[0]
-        parents.setdefault(dst, []).append(src)
-    taps = set(BACKBONE_TAPS)
-
-    def lineage(node: str, seen: frozenset = frozenset()) -> set[str]:
-        if node in taps:
-            return {node}
-        out: set[str] = set()
-        for p in parents.get(node, []):
-            if p not in seen:
-                out |= lineage(p, seen | {node})
-        return out
-
-    return {n: lineage(n) for n in parents}
+    reach = {tap: {tap} for tap in BACKBONE_TAPS}
+    for node, *_, lanes in neck.nodes:
+        reach[node] = set().union(*(reach[s] for s, _ in lanes))
+    lineage = {node: reach[node] for node, *_ in neck.nodes}
+    lineage.update((out, set(reach[node])) for node, out in NECK_OUTPUTS)
+    return lineage

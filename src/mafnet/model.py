@@ -172,13 +172,32 @@ class HeadBranch(Module):
         return self.out(y)
 
 
-class Model(Module):
-    def __init__(self, cfg: ModelConfig, dtype=np.float32):
+class Trunk(Module):
+    """Backbone + fusion neck, the shared front of Model and ToyClassifier.
+
+    Subclasses draw their head from the same generator after the trunk, so
+    the RNG draw and weight-entry order is backbone, neck, head.
+    """
+
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype):
         super().__init__()
-        rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
         self.backbone = Backbone(cfg, rng, dtype)
         self.neck = MAFPN(cfg.stage_widths, cfg.neck, rng=rng, dtype=dtype)
+
+    def trunk_taps(self, x: Tensor):
+        """(neck outputs N3..N5, every tap up to and including them)."""
+        taps = self.backbone(x)
+        neck_outs, neck_taps = self.neck.forward_taps(taps)
+        taps.update(neck_taps)
+        taps.update(neck_outs)
+        return neck_outs, taps
+
+
+class Model(Trunk):
+    def __init__(self, cfg: ModelConfig, dtype=np.float32):
+        rng = np.random.default_rng(cfg.seed)
+        super().__init__(cfg, rng, dtype)
         self.heads = ModuleList(
             HeadBranch(w, cfg.head_width, cfg.head_out_channels, cfg.use_rep, rng, dtype)
             for w in cfg.neck.widths
@@ -189,10 +208,7 @@ class Model(Module):
         return outs
 
     def forward_taps(self, x: Tensor):
-        taps = self.backbone(x)
-        neck_outs, neck_taps = self.neck.forward_taps(taps)
-        taps.update(neck_taps)
-        taps.update(neck_outs)
+        neck_outs, taps = self.trunk_taps(x)
         outs = {}
         for i, head in enumerate(self.heads):
             level = i + 3

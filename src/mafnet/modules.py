@@ -47,9 +47,6 @@ class ConvSpec:
     def depthwise(self) -> bool:
         return self.groups == self.in_channels == self.out_channels
 
-    def output_hw(self, h: int, w: int) -> tuple[int, int]:
-        return ops.conv_output_hw(h, w, self.kernel, self.stride, self.padding)
-
     def weight_param_count(self) -> int:
         return (self.in_channels // self.groups) * self.out_channels * self.kernel**2
 
@@ -139,11 +136,6 @@ class Module:
         for _, p in self.named_parameters():
             yield p
 
-    def named_buffers(self, prefix: str = ""):
-        for path, m in self.named_modules(prefix):
-            for name, b in m._buffers.items():
-                yield (f"{path}.{name}" if path else name), b
-
     def state_entries(self, prefix: str = ""):
         """Deterministic (name, array) walk: per module, params then buffers."""
         for path, m in self.named_modules(prefix):
@@ -216,13 +208,6 @@ class Sequential(Module):
         return x
 
 
-def kaiming_weight(rng: np.random.Generator, spec: ConvSpec, dtype) -> np.ndarray:
-    fan_in = (spec.in_channels // spec.groups) * spec.kernel**2
-    std = np.sqrt(2.0 / fan_in)
-    shape = (spec.out_channels, spec.in_channels // spec.groups, spec.kernel, spec.kernel)
-    return (rng.standard_normal(shape) * std).astype(dtype)
-
-
 class Conv2d(Module):
     def __init__(
         self,
@@ -240,12 +225,10 @@ class Conv2d(Module):
         super().__init__()
         self.spec = ConvSpec(in_channels, out_channels, kernel, stride, padding, groups, bias)
         rng = rng or np.random.default_rng(0)
-        if init_std is None:
-            w = kaiming_weight(rng, self.spec, dtype)
-        else:
-            shape = (out_channels, in_channels // groups, kernel, kernel)
-            w = (rng.standard_normal(shape) * init_std).astype(dtype)
-        self.weight = Tensor(w, requires_grad=True)
+        shape = (out_channels, in_channels // groups, kernel, kernel)
+        # Kaiming-normal (std sqrt(2 / fan_in)) unless a std is given
+        std = np.sqrt(2.0 / (shape[1] * kernel**2)) if init_std is None else init_std
+        self.weight = Tensor((rng.standard_normal(shape) * std).astype(dtype), requires_grad=True)
         self.bias = (
             Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
         )

@@ -179,9 +179,7 @@ class RepHDWConv(Module):
         dtype = getattr(self, f"conv{self.kernel}").weight.dtype
         merged_w = None
         merged_b = None
-        for k in self.branch_kernels:
-            conv = getattr(self, f"conv{k}")
-            bn = getattr(self, f"bn{k}")
+        for conv, bn in self._branches():
             w, b = fold_bn(conv.weight.data.astype(np.float64), bn.bn_params())
             w = pad_kernel_to(w, self.kernel)
             merged_w = w if merged_w is None else merged_w + w

@@ -46,10 +46,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 @contextmanager
 def count_ops():
     """Yield a dict that, after the block, holds per-op call counts."""

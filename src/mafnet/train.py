@@ -15,8 +15,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, NumericalError
-from .mafpn import MAFPN
-from .model import Backbone, ModelConfig
+from .model import ModelConfig, Trunk
 from .modules import Conv2d, Module
 from .tensor import Tensor, no_grad
 
@@ -64,22 +63,18 @@ def make_blob_dataset(
     return BlobDataset(images=images, labels=labels)
 
 
-class ToyClassifier(Module):
+class ToyClassifier(Trunk):
     """Backbone + fusion neck + pooled linear classifier over all three outputs."""
 
     def __init__(self, cfg: ModelConfig, num_classes: int = 2, dtype=np.float32):
-        super().__init__()
         rng = np.random.default_rng(cfg.seed)
-        self.cfg = cfg
-        self.backbone = Backbone(cfg, rng, dtype)
-        self.neck = MAFPN(cfg.stage_widths, cfg.neck, rng=rng, dtype=dtype)
+        super().__init__(cfg, rng, dtype)
         self.classifier = Conv2d(
             sum(cfg.neck.widths), num_classes, 1, bias=True, rng=rng, dtype=dtype
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        taps = self.backbone(x)
-        outs, _ = self.neck.forward_taps(taps)
+        outs, _ = self.trunk_taps(x)
         pooled = ops.concat_channels(
             [ops.global_avg_pool(outs[k]) for k in ("N3", "N4", "N5")]
         )

@@ -217,6 +217,9 @@ def test_ablate_unknown_preset_exits_2(capsys):
         ["verify-fuse", "--trials", "0", "--mode", "model"],
         ["verify-fuse", "--trials", "-1", "--mode", "model"],
         ["erf", "--random-inputs", "-1"],
+        *(["gradcheck", "--ops", "silu", "--tol", t] for t in ["nan", "inf", "-1", "-0.5"]),
+        *(["verify-fuse", "--trials", "1", "--tol", t] for t in ["nan", "inf", "-1", "-0.5"]),
+        ["verify-fuse", "--trials", "1", "--mode", "model", "--tol", "inf"],
     ],
     ids=" ".join,
 )

@@ -214,10 +214,15 @@ def test_wiring_toggle_diffs_are_exact():
 
 
 def test_backbone_lineage_reaches_three_levels():
-    edges = _neck(True, True).wiring_edges()
-    lineage = backbone_lineage(edges)
+    lineage = backbone_lineage(_neck(True, True))
     for out in ("N3", "N4", "N5"):
         assert len(lineage[out]) >= 3, (out, lineage[out])
+    # P2 enters only through assist lanes, so without SAF nothing sees it
+    upper = {"P3", "P4", "P5"}
+    assert backbone_lineage(_neck(False, True)) == {
+        "P'5": {"P5"}, "P'4": {"P4", "P5"}, "P'3": upper, "P''3": upper, "P''4": upper,
+        "P''5": upper, "N3": upper, "N4": upper, "N5": upper,
+    }
 
 
 def test_p2_only_feeds_assist_lanes():
