@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import modules, ops
+from . import ops
 from .errors import ConfigError, NumericalError, ShapeError
 from .modules import BatchNorm2d, Conv2d, Module
 from .repconv import RepHDWConv
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, using
 
 FLOPS_CONVENTION = (
     "MACs: conv = weight multiplies (bias excluded); inference BN = C*H*W; "
@@ -139,17 +139,9 @@ def _probe_record(module: Module, in_channels: int, probe_hw: int, batch: int):
             kind = "dwconv-fused"
         records.append((names[id(m)], kind, params, weights, out.shape))
 
-    was_training = module.training
-    module.eval()
-    modules.set_forward_observer(observer)
-    try:
-        with no_grad():
-            x = Tensor(np.zeros((batch, in_channels, probe_hw, probe_hw), dtype=np.float32))
-            module.forward_taps(x)
-    finally:
-        modules.set_forward_observer(None)
-        if was_training:
-            module.train()
+    with module.mode(False), using(grad=False, observer=observer):
+        x = Tensor(np.zeros((batch, in_channels, probe_hw, probe_hw), dtype=np.float32))
+        module.forward_taps(x)
     return records
 
 
@@ -235,27 +227,24 @@ def erf_map(module: Module, tap: str, x: Tensor | np.ndarray) -> np.ndarray:
     if isinstance(x, np.ndarray):
         x = Tensor(x)
     inp = Tensor(x.data.copy(), requires_grad=True)
-    was_training = module.training
     # Only the input gradient is wanted: with the parameters frozen for the
     # pass, no weight gradient is computed or left behind in `.grad`.
     params = [p for p in module.parameters() if p.requires_grad]
-    module.eval()
-    try:
-        for p in params:
-            p.requires_grad = False
-        _, taps = module.forward_taps(inp)
-        if tap not in taps:
-            raise ConfigError(f"unknown tap {tap!r}; available: {sorted(taps)}")
-        t = taps[tap]
-        mask = np.zeros(t.shape, dtype=t.dtype)
-        mask[:, :, t.shape[2] // 2, t.shape[3] // 2] = 1.0
-        loss = ops.sum_all(ops.mul(t, Tensor(mask)))
-        loss.backward()
-    finally:
-        for p in params:
-            p.requires_grad = True
-        if was_training:
-            module.train()
+    with module.mode(False):
+        try:
+            for p in params:
+                p.requires_grad = False
+            _, taps = module.forward_taps(inp)
+            if tap not in taps:
+                raise ConfigError(f"unknown tap {tap!r}; available: {sorted(taps)}")
+            t = taps[tap]
+            mask = np.zeros(t.shape, dtype=t.dtype)
+            mask[:, :, t.shape[2] // 2, t.shape[3] // 2] = 1.0
+            loss = ops.sum_all(ops.mul(t, Tensor(mask)))
+            loss.backward()
+        finally:
+            for p in params:
+                p.requires_grad = True
     if inp.grad is None:
         raise NumericalError(f"erf_map: no gradient reached the input for tap {tap!r}")
     m = np.abs(inp.grad.astype(np.float64)).sum(axis=(0, 1))

@@ -2,7 +2,7 @@
 
 The backbone is a stem plus four stages (taps P2..P5 at strides 4/8/16/32),
 each a stride-2 transition conv followed by a RepHELAN block whose depthwise
-kernel follows the global schedule (3/5/7/9 by stage; 5/7/9 by neck level).
+kernel follows the network-wide schedule (3/5/7/9 by stage; 5/7/9 by neck level).
 The head is a per-level stub: projection, two reparameterized depthwise
 units, and a 1x1 output conv. Configs round-trip through strict JSON.
 """
@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ops
 from .blocks import helan_block
 from .errors import ConfigError, ShapeError
 from .mafpn import MAFPN, NeckConfig
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module, ModuleList
 from .repconv import RepHDWConv
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 @dataclass
@@ -164,8 +165,6 @@ class HeadBranch(Module):
         self.out = Conv2d(width, out_ch, 1, bias=True, rng=rng, dtype=dtype, init_std=0.01)
 
     def forward(self, x):
-        from . import ops
-
         y = self.proj(x)
         y = ops.silu(self.dw1(y))
         y = ops.silu(self.dw2(y))
@@ -239,15 +238,11 @@ def calibrate_bn_stats(
     Statistics are resolution sensitive (border padding dominates small deep
     maps), so calibrate at the resolution you intend to evaluate at.
     """
-    from .tensor import no_grad
-
     bns = [m for m in module.modules() if isinstance(m, BatchNorm2d)]
     saved_momentum = [bn.momentum for bn in bns]
-    was_training = module.training
-    module.train()
     dtype = next(module.parameters()).dtype
     try:
-        with no_grad():
+        with module.mode(True), no_grad():
             for i in range(batches):
                 for bn in bns:
                     bn.momentum = 1.0 / (i + 1)
@@ -256,8 +251,6 @@ def calibrate_bn_stats(
     finally:
         for bn, m in zip(bns, saved_momentum):
             bn.momentum = m
-        if not was_training:
-            module.eval()
 
 
 def fuse_model(model: Model) -> int:

@@ -9,13 +9,14 @@ to the constructor.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
+from .tensor import RUNTIME, Tensor
 
 
 @dataclass
@@ -80,16 +81,6 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
-# When set, called as observer(module, result) after every Module.__call__;
-# the cost counter uses this to attribute work to named layers.
-_FORWARD_OBSERVER = None
-
-
-def set_forward_observer(fn) -> None:
-    global _FORWARD_OBSERVER
-    _FORWARD_OBSERVER = fn
-
-
 class Module:
     """Base class: tracks parameters, buffers and child modules in order."""
 
@@ -152,6 +143,17 @@ class Module:
     def eval(self):
         return self.train(False)
 
+    @contextmanager
+    def mode(self, training: bool):
+        """Put the whole tree in train or eval mode for the block, then back
+        in the root's previous mode, also on an exception."""
+        was_training = self.training
+        self.train(training)
+        try:
+            yield self
+        finally:
+            self.train(was_training)
+
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()
@@ -165,8 +167,8 @@ class Module:
 
     def __call__(self, *args, **kwargs):
         out = self.forward(*args, **kwargs)
-        if _FORWARD_OBSERVER is not None:
-            _FORWARD_OBSERVER(self, out)
+        if RUNTIME.observer is not None:
+            RUNTIME.observer(self, out)
         return out
 
     def forward_taps(self, x):

@@ -9,30 +9,17 @@ bias that is numerically equivalent to the training-time branch sum.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
 from .modules import BatchNorm2d, BatchNormParams, Conv2d, Module
-from .tensor import Tensor
+from .tensor import RUNTIME, Tensor, no_grad, using
 
-# When true, fused units still evaluate the parallel-branch path; used to
-# compare both paths on one model without unfusing it.
-_FORCE_BRANCH_PATH = False
-
-
-@contextmanager
 def branch_path():
-    """Force the training-time branch forward on fused units inside the block."""
-    global _FORCE_BRANCH_PATH
-    prev = _FORCE_BRANCH_PATH
-    _FORCE_BRANCH_PATH = True
-    try:
-        yield
-    finally:
-        _FORCE_BRANCH_PATH = prev
+    """Force the training-time branch forward on fused units inside the block,
+    to compare both paths on one model without unfusing it."""
+    return using(branch_path=True)
 
 
 def default_small_kernels(large: int) -> list[int]:
@@ -154,7 +141,7 @@ class RepHDWConv(Module):
         return ops.conv2d(x, w, b, stride=1, padding=self.kernel // 2, groups=self.channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self._fused and not self.training and not _FORCE_BRANCH_PATH:
+        if self._fused and not self.training and not RUNTIME.branch_path:
             return self.forward_fused(x)
         return self.forward_train(x)
 
@@ -225,16 +212,8 @@ def fuse_equivalence_deviation(
     unit: RepHDWConv, x: Tensor
 ) -> float:
     """Max |train-path forward - fused forward| on one input (eval mode)."""
-    was_training = unit.training
-    unit.eval()
-    try:
+    with unit.mode(False), no_grad():
         unit.fuse()
-        from .tensor import no_grad
-
-        with no_grad():
-            y_train = unit.forward_train(x)
-            y_fused = unit.forward_fused(x)
-    finally:
-        if was_training:
-            unit.train()
+        y_train = unit.forward_train(x)
+        y_fused = unit.forward_fused(x)
     return float(np.abs(y_train.data - y_fused.data).max())

@@ -16,52 +16,66 @@ import numpy as np
 
 from .errors import AutogradError, NumericalError
 
-# Runtime NaN/Inf detection. On unless MAF_CHECKED=0.
-_CHECKED = os.environ.get("MAF_CHECKED", "1") != "0"
-_GRAD_ENABLED = True
 
-# Per-op invocation counters, used by structural tests (e.g. the fused
-# forward path must issue exactly one convolution).
-OP_COUNTS: Counter = Counter()
+class Runtime:
+    """Process-wide switches, changed for a block with `using()`: NaN/Inf checks
+    on op outputs (`checked`, off when MAF_CHECKED=0), tape recording (`grad`),
+    the branch forward on fused RepHDWConv units (`branch_path`), a hook run as
+    `observer(module, output)` after every Module call, and `op_counts`."""
+
+    def __init__(self):
+        self.checked = os.environ.get("MAF_CHECKED", "1") != "0"
+        self.grad = True
+        self.branch_path = False
+        self.observer = None
+        self.op_counts = Counter()
 
 
-def set_checked(on: bool) -> None:
-    global _CHECKED
-    _CHECKED = bool(on)
-
-
-def checked_enabled() -> bool:
-    return _CHECKED
+RUNTIME = Runtime()
 
 
 @contextmanager
+def using(**switches):
+    """Set the named RUNTIME fields inside the block; restore them on exit."""
+    prev = {name: getattr(RUNTIME, name) for name in switches}
+    for name, value in switches.items():
+        setattr(RUNTIME, name, value)
+    try:
+        yield RUNTIME
+    finally:
+        for name, value in prev.items():
+            setattr(RUNTIME, name, value)
+
+
+def set_checked(on: bool) -> None:
+    RUNTIME.checked = bool(on)
+
+
+def checked_enabled() -> bool:
+    return RUNTIME.checked
+
+
 def no_grad():
     """Disable tape recording inside the block (inference fast path)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+    return using(grad=False)
 
 
 @contextmanager
 def count_ops():
     """Yield a dict that, after the block, holds per-op call counts."""
-    before = dict(OP_COUNTS)
+    before = dict(RUNTIME.op_counts)
     diff: dict = {}
     try:
         yield diff
     finally:
-        for k, v in OP_COUNTS.items():
+        for k, v in RUNTIME.op_counts.items():
             d = v - before.get(k, 0)
             if d:
                 diff[k] = d
 
 
 def check_finite(data: np.ndarray, op: str) -> None:
-    if _CHECKED and not np.all(np.isfinite(data)):
+    if RUNTIME.checked and not np.all(np.isfinite(data)):
         raise NumericalError(f"{op}: non-finite values in output")
 
 
@@ -189,9 +203,9 @@ def make_op_output(data: np.ndarray, parents: tuple, backward, op: str) -> Tenso
     `backward(gout)` must accumulate gradients into the parents; it is only
     attached when at least one parent requires grad and recording is enabled.
     """
-    OP_COUNTS[op] += 1
+    RUNTIME.op_counts[op] += 1
     check_finite(data, op)
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    req = RUNTIME.grad and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req, dtype=data.dtype)
     if req:
         out._parents = tuple(parents)

@@ -113,19 +113,13 @@ class ToyTrainResult:
 
 
 def evaluate_accuracy(model: Module, ds: BlobDataset, batch_size: int = 16) -> float:
-    was_training = model.training
-    model.eval()
     correct = 0
-    try:
-        with no_grad():
-            for lo in range(0, len(ds), batch_size):
-                xb = Tensor(ds.images[lo : lo + batch_size])
-                logits = model(xb)
-                pred = logits.data.reshape(logits.shape[0], -1).argmax(axis=1)
-                correct += int((pred == ds.labels[lo : lo + batch_size]).sum())
-    finally:
-        if was_training:
-            model.train()
+    with model.mode(False), no_grad():
+        for lo in range(0, len(ds), batch_size):
+            xb = Tensor(ds.images[lo : lo + batch_size])
+            logits = model(xb)
+            pred = logits.data.reshape(logits.shape[0], -1).argmax(axis=1)
+            correct += int((pred == ds.labels[lo : lo + batch_size]).sum())
     return correct / len(ds)
 
 
