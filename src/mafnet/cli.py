@@ -316,8 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    def seed(text: str) -> int:
+        # numpy generators reject negative seeds; a ConfigError (not an argparse
+        # error) reaches main(), which reports it as "error: ..." with exit 2
+        value = int(text)
+        if value < 0:
+            raise ConfigError(f"--seed must be >= 0, got {value}")
+        return value
+
     def common(sp, config=True):
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=seed, default=0)
         sp.add_argument("--format", choices=["text", "json"], default="text")
         if config:
             sp.add_argument("--config", help="model config JSON path (default: built-in nano)")
@@ -380,13 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.fn(args)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    try:
-        return args.fn(args)
     except NumericalError as e:
         print(f"numerical error: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -61,6 +61,8 @@ class ModelConfig:
         for name in ("stem_width", "head_width", "head_out_channels", "in_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"ModelConfig.{name}: must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"ModelConfig.seed: must be >= 0, got {self.seed}")
         if any(w < 2 or w % 2 for w in self.stage_widths):
             raise ConfigError(
                 f"ModelConfig.stage_widths: must be positive even, got {self.stage_widths}"
@@ -76,23 +78,37 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return d
 
 
-def config_from_dict(d: dict) -> ModelConfig:
+# JSON value check per config field annotation; a boolean is not an integer
+_JSON_TYPES = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "bool": lambda v: type(v) is bool,
+    "list[int]": lambda v: type(v) is list and all(type(i) is int for i in v),
+    "NeckConfig": lambda v: type(v) is dict,
+}
+
+
+def _check_fields(cls, d, where: str) -> None:
+    """Reject unknown keys and values whose JSON type does not match the field."""
     if not isinstance(d, dict):
-        raise ConfigError("model config: top-level JSON value must be an object")
-    known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = set(d) - known
+        raise ConfigError(f"model config: {where} value must be an object")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(types)
     if unknown:
-        raise ConfigError(f"model config: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"model config: unknown {where} keys {sorted(unknown)}")
+    for name, value in d.items():
+        if not _JSON_TYPES[types[name]](value):
+            raise ConfigError(
+                f"model config: {where} field {name!r} must be {types[name]}, got {value!r}"
+            )
+
+
+def config_from_dict(d: dict) -> ModelConfig:
+    _check_fields(ModelConfig, d, "top-level")
     d = dict(d)
     if "neck" in d:
-        nd = d["neck"]
-        if not isinstance(nd, dict):
-            raise ConfigError("model config: 'neck' must be an object")
-        nknown = {f.name for f in dataclasses.fields(NeckConfig)}
-        nunknown = set(nd) - nknown
-        if nunknown:
-            raise ConfigError(f"model config: unknown neck keys {sorted(nunknown)}")
-        d["neck"] = NeckConfig(**nd)
+        _check_fields(NeckConfig, d["neck"], "neck")
+        d["neck"] = NeckConfig(**d["neck"])
     return ModelConfig(**d)
 
 

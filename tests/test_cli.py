@@ -220,6 +220,8 @@ def test_ablate_unknown_preset_exits_2(capsys):
         *(["gradcheck", "--ops", "silu", "--tol", t] for t in ["nan", "inf", "-1", "-0.5"]),
         *(["verify-fuse", "--trials", "1", "--tol", t] for t in ["nan", "inf", "-1", "-0.5"]),
         ["verify-fuse", "--trials", "1", "--mode", "model", "--tol", "inf"],
+        *([cmd, "--seed", "-1"] for cmd in ["summary", "toy-train", "gradcheck", "verify-fuse", "erf"]),
+        ["ablate", "--preset", "table2", "--seed", "-1"],
     ],
     ids=" ".join,
 )
@@ -227,6 +229,34 @@ def test_degenerate_counts_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "cfg, field",
+    [
+        ({"stem_width": "a"}, "stem_width"),
+        ({"stage_widths": 5}, "stage_widths"),
+        ({"stage_widths": [32, 64, True, 256]}, "stage_widths"),
+        ({"expansion": "x"}, "expansion"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"use_rep": "no"}, "use_rep"),
+        ({"use_rep": 1}, "use_rep"),
+        ({"in_channels": 2.5}, "in_channels"),
+        ({"neck": 5}, "neck"),
+        ({"neck": {"widths": "abc"}}, "widths"),
+        ({"neck": {"saf_ratio": "half"}}, "saf_ratio"),
+        ({"neck": {"enable_saf": 0}}, "enable_saf"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+)
+def test_summary_rejects_mistyped_config_field(capsys, tmp_path, cfg, field):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "summary", "--config", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
 
 
 def test_usage_error_exits_2(capsys):
