@@ -150,7 +150,7 @@ class Module:
         was_training = self.training
         self.train(training)
         try:
-            yield self
+            yield
         finally:
             self.train(was_training)
 

@@ -41,7 +41,7 @@ def using(**switches):
     for name, value in switches.items():
         setattr(RUNTIME, name, value)
     try:
-        yield RUNTIME
+        yield
     finally:
         for name, value in prev.items():
             setattr(RUNTIME, name, value)
