@@ -2,7 +2,7 @@
 
 The backbone is a stem plus four stages (taps P2..P5 at strides 4/8/16/32),
 each a stride-2 transition conv followed by a RepHELAN block whose depthwise
-kernel follows the network-wide schedule (3/5/7/9 by stage; 5/7/9 by neck level).
+kernel follows the shared schedule (3/5/7/9 by stage; 5/7/9 by neck level).
 The head is a per-level stub: projection, two reparameterized depthwise
 units, and a 1x1 output conv. Configs round-trip through strict JSON.
 """

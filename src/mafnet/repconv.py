@@ -16,6 +16,7 @@ from .errors import ConfigError, ShapeError
 from .modules import BatchNorm2d, BatchNormParams, Conv2d, Module
 from .tensor import RUNTIME, Tensor, no_grad, using
 
+
 def branch_path():
     """Force the training-time branch forward on fused units inside the block,
     to compare both paths on one model without unfusing it."""
