@@ -8,7 +8,9 @@ weights) into the output, dx scatters mix(gy, tap weights transposed) back
 into the windows, and dw reduces gy against each window. Only the per-tap
 channel mix depends on the kind: a depthwise tap is a per-channel scale, a
 dense tap one tensordot (BLAS), and a grouped conv runs the dense mix on
-each group's channel slices. Memory stays flat at one window per tap.
+each group's channel slices. Memory stays flat at one window per tap. The
+stride-1 depthwise forward walks the same taps over flattened rows instead
+(`_depthwise_rows`), which gives the same bits in far fewer, longer loops.
 Gradients are exact; everything here passes the central finite-difference
 checker.
 """
@@ -109,6 +111,40 @@ def _dense_reduce(gy, xs):
 _DEPTHWISE = (_scale, _scale_reduce, False)
 _DENSE = (_dense, _dense_reduce, True)
 
+# Rows per block of `_depthwise_rows` hold about this many elements, so that
+# a block's accumulator and the input rows it reads stay in a core's L2 cache.
+_ROW_BLOCK = 1 << 16
+
+
+def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: int) -> np.ndarray:
+    """Stride-1 depthwise forward with each (batch, channel) map flattened to
+    one row. On an (ho, padded width) output grid the window of tap (i, j) is
+    one contiguous run of the flat padded input, starting at i * width + j;
+    the grid columns past wo are discarded. Every kept element sees the same
+    multiplies and adds, in the same tap order, as in the windowed loop."""
+    b, c, h, w = xd.shape
+    k, width = wd.shape[2], w + 2 * padding
+    n = ho * width
+    # One spare bottom row: the last tap's run ends k - 1 past the padding.
+    xp = np.zeros((b * c, (h + 2 * padding + 1) * width), dtype=xd.dtype)
+    xp.reshape(b, c, -1, width)[:, :, padding : padding + h, padding : padding + w] = xd
+    taps = np.tile(wd.reshape(c, k * k), (b, 1))
+    acc = np.zeros((b * c, n), dtype=xd.dtype)
+    rows = max(1, _ROW_BLOCK // n)
+    # Under numpy's default 8192-element ufunc buffer, these ufuncs over blocks
+    # of short rows ran 2-3x slower on the 20x20 and 40x40 maps (numpy 2.4).
+    # They cast nothing, so the buffer size changes no result bit.
+    bufsize = np.setbufsize(16)
+    try:
+        for r in range(0, b * c, rows):
+            a, xr, wr = acc[r : r + rows], xp[r : r + rows], taps[r : r + rows]
+            for t in range(k * k):
+                start = t // k * width + t % k
+                a += wr[:, t, None] * xr[:, start : start + n]
+    finally:
+        np.setbufsize(bufsize)
+    return acc.reshape(b, c, ho, width)[..., :wo]
+
 
 def conv2d(
     x: Tensor,
@@ -139,15 +175,18 @@ def conv2d(
     blocks = [(slice(g * cb, (g + 1) * cb), slice(g * ob, (g + 1) * ob)) for g in range(nb)]
     taps = _taps(k, stride, ho, wo)
 
-    xp = _pad_hw(xd, padding)
-    if channels_last:
-        out = np.zeros((b, ho, wo, out_c), dtype=xd.dtype).transpose(0, 3, 1, 2)
+    if depthwise and stride == 1:
+        out = _depthwise_rows(xd, wd, padding, ho, wo)
     else:
-        out = np.zeros((b, out_c, ho, wo), dtype=xd.dtype)
-    for ci, co in blocks:
-        xb, acc, wb = xp[:, ci], out[:, co], wd[co]
-        for i, j, win in taps:
-            mix(acc, xb[win], wb[:, :, i, j])
+        xp = _pad_hw(xd, padding)
+        if channels_last:
+            out = np.zeros((b, ho, wo, out_c), dtype=xd.dtype).transpose(0, 3, 1, 2)
+        else:
+            out = np.zeros((b, out_c, ho, wo), dtype=xd.dtype)
+        for ci, co in blocks:
+            xb, acc, wb = xp[:, ci], out[:, co], wd[co]
+            for i, j, win in taps:
+                mix(acc, xb[win], wb[:, :, i, j])
     out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data[None, :, None, None]

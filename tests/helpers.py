@@ -3,7 +3,9 @@
 The convolution oracle is a direct nested-loop evaluation of the definition,
 written in plain Python so it shares nothing with the library's offset
 decomposition path. The sigmoid oracle is the original boolean-mask form of
-``ops._sigmoid``, kept as the bitwise reference for its mask-free rewrite.
+``ops._sigmoid``, kept as the bitwise reference for its mask-free rewrite, and
+the windowed depthwise oracle is the original per-tap loop of the stride-1
+depthwise forward, kept as the bitwise reference for its flattened-row form.
 """
 
 import numpy as np
@@ -50,6 +52,20 @@ def mask_sigmoid(xd: np.ndarray) -> np.ndarray:
     out[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
     ex = np.exp(xd[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def windowed_depthwise(xd, wd, padding):
+    """Reference stride-1 depthwise forward: for each kernel tap in row-major
+    order, add the per-channel weight times that tap's window of the padded
+    input into a zero-initialized output."""
+    k = wd.shape[2]
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    out = np.zeros((xd.shape[0], xd.shape[1], ho, wo), dtype=xd.dtype)
+    for i in range(k):
+        for j in range(k):
+            out += wd[:, :, i, j].reshape(1, -1, 1, 1) * xp[:, :, i : i + ho, j : j + wo]
     return out
 
 

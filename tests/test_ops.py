@@ -9,7 +9,7 @@ from mafnet import ConfigError, ShapeError, Tensor
 from mafnet import ops
 from mafnet.gradcheck import DEFAULT_RTOL, check_gradients
 
-from helpers import identity_pointwise, mask_sigmoid, naive_conv2d
+from helpers import identity_pointwise, mask_sigmoid, naive_conv2d, windowed_depthwise
 
 
 rng = np.random.default_rng
@@ -111,6 +111,49 @@ def test_conv_matches_naive_property(case):
     ref = naive_conv2d(x, w, b, stride=case["stride"], padding=case["padding"], groups=groups)
     assert y.shape == ref.shape
     np.testing.assert_allclose(y.data, ref, atol=1e-5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    k=st.sampled_from([1, 3, 5, 7, 9]),
+    batch=st.integers(1, 3),
+    channels=st.integers(1, 6),
+    extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    pad_frac=st.floats(0, 1),
+    with_bias=st.booleans(),
+    one_row_blocks=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_depthwise_forward_bitwise_equals_windowed_loop(
+    dtype, k, batch, channels, extra, pad_frac, with_bias, one_row_blocks, seed
+):
+    """The flattened-row stride-1 depthwise forward gives the windowed per-tap
+    loop's output bit for bit (signed zeros included), in one block of rows or
+    in blocks of one row, and restores numpy's ufunc buffer size."""
+    r = rng(seed)
+    padding = round(pad_frac * (k // 2))
+    h, w = k - 2 * padding + extra[0], k - 2 * padding + extra[1] + 1
+    x = r.standard_normal((batch, channels, h, w)).astype(dtype)
+    x[r.random(x.shape) < 0.2] = -0.0
+    wd = r.standard_normal((channels, 1, k, k)).astype(dtype)
+    wd[r.random(wd.shape) < 0.2] = 0.0
+    b = r.standard_normal(channels).astype(dtype) if with_bias else None
+    bufsize = np.setbufsize(12288)  # a value no code sets, to see it restored
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            if one_row_blocks:
+                mp.setattr(ops, "_ROW_BLOCK", 1, raising=False)
+            y = ops.conv2d(Tensor(x), Tensor(wd), None if b is None else Tensor(b), 1, padding, channels)
+        assert np.getbufsize() == 12288
+    finally:
+        np.setbufsize(bufsize)
+    ref = windowed_depthwise(x, wd, padding)
+    if b is not None:
+        ref += b[None, :, None, None]
+    assert y.shape == ref.shape and y.data.flags.c_contiguous
+    view = UINT_VIEW[dtype]
+    np.testing.assert_array_equal(y.data.view(view), ref.view(view))
 
 
 @pytest.mark.parametrize("kind", ["grouped", "multiplier"])
