@@ -245,6 +245,14 @@ def test_pafpn_degeneration_structure():
     assert outs["N4"].shape[1] == 24
 
 
+def test_backbone_tap_of_wrong_width_names_first_reader():
+    # P3 is read first by P'4's assist lane, before P'3 reads it as its same lane
+    neck = _neck()
+    taps = _taps(rng(11), widths=(8, 17, 24, 32), size=64)
+    with pytest.raises(ShapeError, match="P'4: assist-down lane has 17 channels, expected 16"):
+        neck.forward_taps(taps)
+
+
 def test_mafpn_gradients_flow_to_all_lanes():
     neck = _neck(True, True)
     neck.eval()
