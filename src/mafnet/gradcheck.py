@@ -182,13 +182,14 @@ CHECKS = (
                                rng=rng, dtype=np.float64),
         lambda m, t: m(t["x"]), x=(1, 3, 8, 8))),
     ("saf", "saf", _module(
-        lambda rng: SAFFuse(shallow_ch=2, same_ch=3, deep_ch=4, ratio=0.5, rng=rng,
-                            dtype=np.float64),
+        lambda rng: SAFFuse((("assist-down", 2, 2), ("same", 3, 3), ("up", 4, 4)),
+                            rng=rng, dtype=np.float64),
         lambda m, t: m(t["shallow"], t["same"], t["deep"]),
         shallow=(1, 2, 8, 8), same=(1, 3, 4, 4), deep=(1, 4, 2, 2))),
     ("aaf", "aaf", _module(
-        lambda rng: AAFFuse(3, p1_prev_ch=2, p2_prev_ch=3, deep_ch=4, rng=rng, dtype=np.float64),
-        lambda m, t: m(t["same"], p1_prev=t["p1"], p2_prev=t["p2"], deep=t["deep"]),
+        lambda rng: AAFFuse((("cross-down", 2, 3), ("chain-down", 3, 3), ("same", 3, 3),
+                             ("up-project", 4, 3)), rng=rng, dtype=np.float64),
+        lambda m, t: m(t["p1"], t["p2"], t["same"], t["deep"]),
         p1=(1, 2, 8, 8), p2=(1, 3, 8, 8), same=(1, 3, 4, 4), deep=(1, 4, 2, 2))),
 )
 

@@ -72,24 +72,21 @@ NECK_NODES = (
 )
 NECK_OUTPUTS = (("P''3", "N3"), ("P''4", "N4"), ("P''5", "N5"))
 
+# What a fusion-node lane kind means: (module attribute or None, input size
+# relative to the node). A 2x lane runs through a DownLane, a 1/2x lane is
+# upsampled first and then, if it has a module, projected by a biased 1x1 conv.
+_LANES = {
+    "assist-down": ("assist", 2),
+    "cross-down": ("p1_down", 2),
+    "chain-down": ("p2_down", 2),
+    "up-project": ("up_proj", 0.5),
+    "same": (None, 1),
+    "up": (None, 0.5),
+}
+
 # The lowest second-pathway node has no shallower neck lane to chain from.
 # Without AAF it adds nothing, so it becomes an alias of its same lane.
 AAF_ONLY_NODE = "P''3"
-
-# AAFFuse argument fed by each lane kind (constructor: the same name + "_ch").
-_AAF_ARGS = {
-    "assist-down": "assist",
-    "cross-down": "p1_prev",
-    "chain-down": "p2_prev",
-    "up-project": "deep",
-}
-
-
-def _check_spatial(level: str, name: str, got, want) -> None:
-    if got != want:
-        raise ShapeError(
-            f"{level}: lane {name} has spatial dims {got}, expected {want}"
-        )
 
 
 class DownLane(Module):
@@ -105,116 +102,56 @@ class DownLane(Module):
         return ops.silu(self.proj(self.bn(self.down(x))))
 
 
-class SAFFuse(Module):
-    """Superficial assisted fusion at one level.
+class FusionNode(Module):
+    """Concatenate lanes, each brought to the node's size by its kind's module.
 
-    concat(assist(shallow), same, upsample(deep)) where the assist lane is
-    Down -> 1x1 projected to ratio * same-level width. With the assist lane
-    disabled the node degenerates to concat(same, up).
+    `lanes` lists (kind, in_channels, out_channels) in concat order; exactly
+    one lane is `same`, and lanes without a module keep their width. The
+    forward takes one tensor per lane, in the same order.
     """
 
-    def __init__(
-        self,
-        shallow_ch: int,
-        same_ch: int,
-        deep_ch: int,
-        ratio: float = 0.5,
-        enable_assist: bool = True,
-        level: str = "",
-        rng=None,
-        dtype=np.float32,
-    ):
+    def __init__(self, lanes, level: str = "", rng=None, dtype=np.float32):
         super().__init__()
-        self.level = level or "saf"
-        self.enable_assist = enable_assist
-        self.assist_ch = int(round(ratio * same_ch)) if enable_assist else 0
-        if enable_assist:
-            self.assist = DownLane(shallow_ch, self.assist_ch, rng=rng, dtype=dtype)
-        self.out_channels = self.assist_ch + same_ch + deep_ch
+        self.level = level or type(self).__name__
+        self.lanes = tuple(lanes)
+        self.same = [kind for kind, *_ in self.lanes].index("same")
+        for kind, cin, cout in self.lanes:
+            attr, scale = _LANES[kind]
+            if attr:
+                setattr(self, attr, DownLane(cin, cout, rng=rng, dtype=dtype) if scale > 1
+                        else Conv2d(cin, cout, 1, bias=True, rng=rng, dtype=dtype))
+        self.out_channels = sum(cout for *_, cout in self.lanes)
 
-    def forward(self, shallow: Tensor | None, same: Tensor, deep: Tensor) -> Tensor:
-        hs, ws = same.shape[2], same.shape[3]
-        _check_spatial(self.level, "deep", deep.shape[2:], (hs // 2, ws // 2))
-        lanes = []
-        if self.enable_assist:
-            _check_spatial(self.level, "shallow", shallow.shape[2:], (2 * hs, 2 * ws))
-            lanes.append(self.assist(shallow))
-        lanes.append(same)
-        lanes.append(ops.upsample_nearest2x(deep))
-        return ops.concat_channels(lanes)
+    def forward(self, *xs: Tensor) -> Tensor:
+        if len(xs) != len(self.lanes):
+            raise ShapeError(f"{self.level}: got {len(xs)} lanes, expected {len(self.lanes)}")
+        hs, ws = xs[self.same].shape[2:]
+        outs = []
+        for (kind, cin, _), x in zip(self.lanes, xs):
+            attr, scale = _LANES[kind]
+            want = (int(hs * scale), int(ws * scale))
+            if x.shape[1] != cin:
+                raise ShapeError(
+                    f"{self.level}: {kind} lane has {x.shape[1]} channels, expected {cin}")
+            if x.shape[2:] != want:
+                raise ShapeError(
+                    f"{self.level}: {kind} lane has spatial dims {x.shape[2:]}, expected {want}")
+            if scale < 1:
+                x = ops.upsample_nearest2x(x)
+            outs.append(getattr(self, attr)(x) if attr else x)
+        return ops.concat_channels(outs)
 
 
-class AAFFuse(Module):
-    """Advanced assisted fusion: every enabled lane is projected to `width`.
+class SAFFuse(FusionNode):
+    """Superficial assisted fusion: concat(assist-down, same, up), where MAFPN
+    projects the assist lane to saf_ratio * same-level width. Without the
+    assist lane the node degenerates to concat(same, up)."""
 
-    Lane order is (backbone assist, first-pathway down, second-pathway down,
-    same, projected upsample). Any lane but `same` can be absent; the same
-    lane must already carry `width` channels. The assist lane only exists at
-    the lowest level, where no shallower neck lanes are available.
-    """
 
-    def __init__(
-        self,
-        width: int,
-        assist_ch: int | None = None,
-        p1_prev_ch: int | None = None,
-        p2_prev_ch: int | None = None,
-        deep_ch: int | None = None,
-        level: str = "",
-        rng=None,
-        dtype=np.float32,
-    ):
-        super().__init__()
-        self.level = level or "aaf"
-        self.width = width
-        self.has_assist = assist_ch is not None
-        self.has_p1_down = p1_prev_ch is not None
-        self.has_p2_down = p2_prev_ch is not None
-        self.has_up = deep_ch is not None
-        if self.has_assist:
-            self.assist = DownLane(assist_ch, width, rng=rng, dtype=dtype)
-        if self.has_p1_down:
-            self.p1_down = DownLane(p1_prev_ch, width, rng=rng, dtype=dtype)
-        if self.has_p2_down:
-            self.p2_down = DownLane(p2_prev_ch, width, rng=rng, dtype=dtype)
-        if self.has_up:
-            self.up_proj = Conv2d(deep_ch, width, 1, bias=True, rng=rng, dtype=dtype)
-        self.out_channels = width * (
-            1
-            + int(self.has_assist)
-            + int(self.has_p1_down)
-            + int(self.has_p2_down)
-            + int(self.has_up)
-        )
-
-    def forward(
-        self,
-        same: Tensor,
-        assist: Tensor | None = None,
-        p1_prev: Tensor | None = None,
-        p2_prev: Tensor | None = None,
-        deep: Tensor | None = None,
-    ) -> Tensor:
-        hs, ws = same.shape[2], same.shape[3]
-        if same.shape[1] != self.width:
-            raise ShapeError(
-                f"{self.level}: same lane has {same.shape[1]} channels, expected {self.width}"
-            )
-        lanes = []
-        if self.has_assist:
-            _check_spatial(self.level, "assist", assist.shape[2:], (2 * hs, 2 * ws))
-            lanes.append(self.assist(assist))
-        if self.has_p1_down:
-            _check_spatial(self.level, "p1_prev", p1_prev.shape[2:], (2 * hs, 2 * ws))
-            lanes.append(self.p1_down(p1_prev))
-        if self.has_p2_down:
-            _check_spatial(self.level, "p2_prev", p2_prev.shape[2:], (2 * hs, 2 * ws))
-            lanes.append(self.p2_down(p2_prev))
-        lanes.append(same)
-        if self.has_up:
-            _check_spatial(self.level, "deep", deep.shape[2:], (hs // 2, ws // 2))
-            lanes.append(self.up_proj(ops.upsample_nearest2x(deep)))
-        return ops.concat_channels(lanes)
+class AAFFuse(FusionNode):
+    """Advanced assisted fusion: every lane but `same` is projected to the
+    node width. The assist lane only exists at the lowest level, where no
+    shallower neck lanes are available."""
 
 
 class MAFPN(Module):
@@ -252,20 +189,25 @@ class MAFPN(Module):
         # and the weight-entry order.
         ch = dict(zip(BACKBONE_TAPS, tap_channels))
         for node, fuse, block, level, lanes in self.nodes:
-            src = {kind: s for s, kind in lanes}
             width = cfg.widths[level]
-            if "alias" in src:
-                ch[node] = ch[src["alias"]]
+            if fuse is None:
+                ch[node] = ch[lanes[0][0]]
                 continue
-            if "project" in src:
-                m = ConvBN(ch[src["project"]], width, 1, rng=rng, dtype=dtype)
-            elif "up" in src:
-                shallow = src.get("assist-down")
-                m = SAFFuse(ch.get(shallow), ch[src["same"]], ch[src["up"]], cfg.saf_ratio,
-                            shallow is not None, node, rng=rng, dtype=dtype)
+            kinds = [kind for _, kind in lanes]
+            if kinds == ["project"]:
+                m = ConvBN(ch[lanes[0][0]], width, 1, rng=rng, dtype=dtype)
             else:
-                lane_ch = {f"{_AAF_ARGS[k]}_ch": ch[s] for s, k in lanes if k != "same"}
-                m = AAFFuse(width, level=node, rng=rng, dtype=dtype, **lane_ch)
+                # SAF projects only its assist lane, to a fraction of the same
+                # lane; AAF projects every lane but `same` to the node width.
+                saf = "up" in kinds
+                assist = round(cfg.saf_ratio * ch[lanes[kinds.index("same")][0]])
+                spec = []
+                for s, kind in lanes:
+                    if saf:
+                        spec.append((kind, ch[s], assist if kind == "assist-down" else ch[s]))
+                    else:
+                        spec.append((kind, ch[s], ch[s] if kind == "same" else width))
+                m = (SAFFuse if saf else AAFFuse)(spec, node, rng=rng, dtype=dtype)
             setattr(self, fuse, m)
             if block:
                 kernel = cfg.kernels[level]
@@ -280,16 +222,8 @@ class MAFPN(Module):
     def forward_taps(self, taps: dict[str, Tensor]):
         vals = {tap: taps[tap] for tap in BACKBONE_TAPS}
         for node, fuse, block, _, lanes in self.nodes:
-            x = {kind: vals[s] for s, kind in lanes}
-            if "alias" in x:
-                y = x["alias"]
-            elif "project" in x:
-                y = getattr(self, fuse)(x["project"])
-            elif "up" in x:
-                y = getattr(self, fuse)(x.get("assist-down"), x["same"], x["up"])
-            else:
-                same = x.pop("same")
-                y = getattr(self, fuse)(same, **{_AAF_ARGS[k]: v for k, v in x.items()})
+            x = [vals[s] for s, _ in lanes]
+            y = getattr(self, fuse)(*x) if fuse else x[0]
             vals[node] = getattr(self, block)(y) if block else y
         neck_taps = {node: vals[node] for node, *_ in self.nodes}
         return {out: vals[node] for node, out in NECK_OUTPUTS}, neck_taps

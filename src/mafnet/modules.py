@@ -217,7 +217,6 @@ class Conv2d(Module):
         out_channels: int,
         kernel: int,
         stride: int = 1,
-        padding: int | None = None,
         groups: int = 1,
         bias: bool = False,
         rng: np.random.Generator | None = None,
@@ -225,7 +224,8 @@ class Conv2d(Module):
         init_std: float | None = None,
     ):
         super().__init__()
-        self.spec = ConvSpec(in_channels, out_channels, kernel, stride, padding, groups, bias)
+        self.spec = ConvSpec(in_channels, out_channels, kernel, stride, groups=groups,
+                             has_bias=bias)
         rng = rng or np.random.default_rng(0)
         shape = (out_channels, in_channels // groups, kernel, kernel)
         # Kaiming-normal (std sqrt(2 / fan_in)) unless a std is given
@@ -281,7 +281,7 @@ class BatchNorm2d(Module):
 
 
 class ConvBN(Module):
-    """Conv (no bias) followed by batch norm, optionally SiLU-activated."""
+    """Conv (no bias) followed by batch norm and SiLU."""
 
     def __init__(
         self,
@@ -289,18 +289,12 @@ class ConvBN(Module):
         out_channels: int,
         kernel: int,
         stride: int = 1,
-        act: bool = True,
-        groups: int = 1,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
     ):
         super().__init__()
-        self.conv = Conv2d(
-            in_channels, out_channels, kernel, stride, groups=groups, rng=rng, dtype=dtype
-        )
+        self.conv = Conv2d(in_channels, out_channels, kernel, stride, rng=rng, dtype=dtype)
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
-        self.act = act
 
     def forward(self, x):
-        y = self.bn(self.conv(x))
-        return ops.silu(y) if self.act else y
+        return ops.silu(self.bn(self.conv(x)))

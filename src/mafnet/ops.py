@@ -422,16 +422,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_op_output(out, (a, b), backward, "add")
 
 
-def add_scalar(a: Tensor, s: float) -> Tensor:
-    out = a.data + a.dtype.type(s)
-
-    def backward(gy):
-        if a.requires_grad:
-            a.accumulate_grad(gy)
-
-    return make_op_output(out, (a,), backward, "add_scalar")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")

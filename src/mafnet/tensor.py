@@ -165,36 +165,10 @@ class Tensor:
         return order
 
     # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other):
+    def __add__(self, other: "Tensor") -> "Tensor":
         from . import ops
 
-        if isinstance(other, Tensor):
-            return ops.add(self, other)
-        return ops.add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        from . import ops
-
-        if isinstance(other, Tensor):
-            return ops.mul(self, other)
-        return ops.mul_scalar(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.mul_scalar(self, -1.0)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Tensor) else -float(other))
-
-    def sum(self) -> "Tensor":
-        from . import ops
-
-        return ops.sum_all(self)
+        return ops.add(self, other)
 
 
 def make_op_output(data: np.ndarray, parents: tuple, backward, op: str) -> Tensor:

@@ -28,23 +28,36 @@ def _taps(r, widths=(32, 64, 128, 256), size=64, batch=1):
     return out
 
 
+def _neck(saf=True, aaf=True, widths=(16, 24, 32), seed=0):
+    cfg = NeckConfig(
+        widths=list(widths), depth=1, enable_saf=saf, enable_aaf=aaf
+    )
+    return MAFPN([8, 16, 24, 32], cfg, rng=rng(seed))
+
+
 # ---------------------------------------------------------------------------
 # SAF
 # ---------------------------------------------------------------------------
 
+# (kind, in_channels, out_channels) per lane: the assist lane projected to
+# half the same-level width, as MAFPN builds it with saf_ratio=0.5
+SAF_LANES = (("assist-down", 8, 8), ("same", 16, 16), ("up", 4, 4))
+
+
 def test_saf_width_rule_and_shape():
-    node = SAFFuse(shallow_ch=32, same_ch=64, deep_ch=128, ratio=0.5, rng=rng(0))
-    shallow = Tensor(np.zeros((1, 32, 80, 80), dtype=np.float32))
-    same = Tensor(np.zeros((1, 64, 40, 40), dtype=np.float32))
-    deep = Tensor(np.zeros((1, 128, 20, 20), dtype=np.float32))
-    y = node(shallow, same, deep)
-    assert node.assist_ch == 32
-    assert y.shape == (1, 32 + 64 + 128, 40, 40)
+    neck = _neck()  # P3 -> 16, P4 -> 24 channels; P'5 -> 32
+    assert neck.saf4.assist.proj.spec.out_channels == round(0.5 * 24)
+    assert neck.saf4.lanes == (("assist-down", 16, 12), ("same", 24, 24), ("up", 32, 32))
+    shallow = Tensor(np.zeros((1, 16, 16, 16), dtype=np.float32))
+    same = Tensor(np.zeros((1, 24, 8, 8), dtype=np.float32))
+    deep = Tensor(np.zeros((1, 32, 4, 4), dtype=np.float32))
+    y = neck.saf4(shallow, same, deep)
+    assert y.shape == (1, 12 + 24 + 32, 8, 8) and neck.saf4.out_channels == 12 + 24 + 32
 
 
 def test_saf_assist_lane_isolation():
     r = rng(1)
-    node = SAFFuse(shallow_ch=8, same_ch=16, deep_ch=4, ratio=0.5, rng=r)
+    node = SAFFuse(SAF_LANES, rng=r)
     zero_module(node.assist)
     node.eval()
     shallow = Tensor(r.standard_normal((1, 8, 16, 16)).astype(np.float32))
@@ -52,7 +65,7 @@ def test_saf_assist_lane_isolation():
     deep = Tensor(r.standard_normal((1, 4, 4, 4)).astype(np.float32))
     with no_grad():
         y = node(shallow, same, deep)
-    assist_w = node.assist_ch
+    assist_w = node.lanes[0][2]
     np.testing.assert_array_equal(y.data[:, :assist_w], 0.0)
     np.testing.assert_array_equal(y.data[:, assist_w : assist_w + 16], same.data)
     np.testing.assert_array_equal(
@@ -61,7 +74,7 @@ def test_saf_assist_lane_isolation():
 
 
 def test_saf_shape_scale_equivariance():
-    node = SAFFuse(shallow_ch=8, same_ch=16, deep_ch=4, rng=rng(2))
+    node = SAFFuse(SAF_LANES, rng=rng(2))
     node.eval()
     for size in (16, 8):
         shallow = Tensor(np.ones((1, 8, 2 * size, 2 * size), dtype=np.float32))
@@ -72,11 +85,11 @@ def test_saf_shape_scale_equivariance():
 
 
 def test_saf_spatial_violation_names_level():
-    node = SAFFuse(shallow_ch=8, same_ch=16, deep_ch=4, level="P'4", rng=rng(3))
+    node = SAFFuse(SAF_LANES, level="P'4", rng=rng(3))
     shallow = Tensor(np.ones((1, 8, 12, 12), dtype=np.float32))  # not 2x
     same = Tensor(np.ones((1, 16, 8, 8), dtype=np.float32))
     deep = Tensor(np.ones((1, 4, 4, 4), dtype=np.float32))
-    with pytest.raises(ShapeError, match="P'4"):
+    with pytest.raises(ShapeError, match="P'4: assist-down lane has spatial dims"):
         node(shallow, same, deep)
 
 
@@ -85,29 +98,32 @@ def test_saf_spatial_violation_names_level():
 # ---------------------------------------------------------------------------
 
 def test_aaf_equal_width_rule():
-    node = AAFFuse(16, p1_prev_ch=8, p2_prev_ch=24, deep_ch=40, rng=rng(4))
+    node = AAFFuse((("cross-down", 8, 16), ("chain-down", 24, 16), ("same", 16, 16),
+                    ("up-project", 40, 16)), rng=rng(4))
     node.eval()
     p1 = Tensor(np.ones((1, 8, 16, 16), dtype=np.float32))
     p2 = Tensor(np.ones((1, 24, 16, 16), dtype=np.float32))
     same = Tensor(np.ones((1, 16, 8, 8), dtype=np.float32))
     deep = Tensor(np.ones((1, 40, 4, 4), dtype=np.float32))
-    y = node(same, p1_prev=p1, p2_prev=p2, deep=deep)
+    y = node(p1, p2, same, deep)
     assert y.shape == (1, 4 * 16, 8, 8)
 
 
 def test_aaf_boundary_three_lane_width():
-    node = AAFFuse(16, assist_ch=8, deep_ch=40, rng=rng(5))
+    node = AAFFuse((("assist-down", 8, 16), ("same", 16, 16), ("up-project", 40, 16)),
+                   rng=rng(5))
     node.eval()
     assist = Tensor(np.ones((1, 8, 16, 16), dtype=np.float32))
     same = Tensor(np.ones((1, 16, 8, 8), dtype=np.float32))
     deep = Tensor(np.ones((1, 40, 4, 4), dtype=np.float32))
-    y = node(same, assist=assist, deep=deep)
+    y = node(assist, same, deep)
     assert y.shape == (1, 3 * 16, 8, 8)
 
 
 def test_aaf_compositional_oracle():
     r = rng(6)
-    node = AAFFuse(6, p1_prev_ch=4, p2_prev_ch=6, deep_ch=10, rng=r)
+    node = AAFFuse((("cross-down", 4, 6), ("chain-down", 6, 6), ("same", 6, 6),
+                    ("up-project", 10, 6)), rng=r)
     randomize_weights(node, r)
     randomize_bn_stats(node, r)
     node.eval()
@@ -116,7 +132,7 @@ def test_aaf_compositional_oracle():
     same = Tensor(r.standard_normal((1, 6, 4, 4)).astype(np.float32))
     deep = Tensor(r.standard_normal((1, 10, 2, 2)).astype(np.float32))
     with no_grad():
-        y = node(same, p1_prev=p1, p2_prev=p2, deep=deep)
+        y = node(p1, p2, same, deep)
 
     def down_lane(lane, t):
         z = ops.conv2d(t, lane.down.weight, stride=2, padding=1)
@@ -135,13 +151,6 @@ def test_aaf_compositional_oracle():
 # ---------------------------------------------------------------------------
 # full neck
 # ---------------------------------------------------------------------------
-
-def _neck(saf=True, aaf=True, widths=(16, 24, 32), seed=0):
-    cfg = NeckConfig(
-        widths=list(widths), depth=1, enable_saf=saf, enable_aaf=aaf
-    )
-    return MAFPN([8, 16, 24, 32], cfg, rng=rng(seed))
-
 
 def test_mafpn_output_strides():
     neck = _neck()
@@ -236,8 +245,8 @@ def test_pafpn_degeneration_structure():
     neck = _neck(saf=False, aaf=False)
     neck.eval()
     assert not hasattr(neck, "aaf3")
-    assert not neck.aaf4.has_p1_down and not neck.aaf4.has_up
-    assert neck.aaf4.has_p2_down
+    assert not hasattr(neck.aaf4, "p1_down") and not hasattr(neck.aaf4, "up_proj")
+    assert hasattr(neck.aaf4, "p2_down")
     taps = _taps(rng(9), widths=(8, 16, 24, 32), size=64)
     with no_grad():
         outs, neck_taps = neck.forward_taps(taps)
