@@ -91,6 +91,8 @@ def test_saf_spatial_violation_names_level():
     deep = Tensor(np.ones((1, 4, 4, 4), dtype=np.float32))
     with pytest.raises(ShapeError, match="P'4: assist-down lane has spatial dims"):
         node(shallow, same, deep)
+    with pytest.raises(ShapeError, match="P'4: got 2 lanes, expected 3"):
+        node(same, deep)
 
 
 # ---------------------------------------------------------------------------
