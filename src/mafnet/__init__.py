@@ -44,7 +44,7 @@ from .model import (
     save_config,
     toy_config,
 )
-from .modules import BatchNorm2d, BatchNormParams, Conv2d, ConvBN, ConvSpec, Module, Sequential
+from .modules import BatchNorm2d, BatchNormParams, Conv2d, ConvBN, Module, Sequential
 from .ops import (
     batchnorm_infer,
     batchnorm_train,

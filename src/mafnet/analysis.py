@@ -108,10 +108,11 @@ def _classify(m: Module):
     its fused single-kernel form, which is the only form it is costed in.
     """
     if isinstance(m, Conv2d):
-        s = m.spec
-        fields = {"kernel": s.kernel, "in": s.in_channels, "out": s.out_channels,
-                  "stride": s.stride}
-        return "dwconv" if s.depthwise else "conv", s.param_count(), s.weight_param_count(), fields
+        fields = {"kernel": m.kernel, "in": m.in_channels, "out": m.out_channels,
+                  "stride": m.stride}
+        kind = "dwconv" if m.groups == m.in_channels == m.out_channels else "conv"
+        weights = m.weight.data.size
+        return kind, weights + (0 if m.bias is None else m.bias.data.size), weights, fields
     if isinstance(m, BatchNorm2d):
         return "bn", 2 * m.channels, m.channels, {"channels": m.channels}
     if isinstance(m, RepHDWConv):
@@ -122,7 +123,7 @@ def _classify(m: Module):
     return None
 
 
-def _probe_record(module: Module, in_channels: int, probe_hw: int, batch: int):
+def _probe_record(module: Module, in_channels: int, probe_hw: int):
     """Run an eval-mode probe forward, collecting one record per costed layer."""
     names = {id(m): n for n, m in module.named_modules()}
     records: list[tuple[str, str, int, int, tuple]] = []
@@ -133,14 +134,14 @@ def _probe_record(module: Module, in_channels: int, probe_hw: int, batch: int):
             return
         kind, params, weights, _ = layer
         if kind == "rephdw":
-            # only a fused unit runs as one conv; otherwise its branches are costed
-            if not m.fused or m.training:
+            # only a unit that runs fused is one conv; otherwise its branches are costed
+            if not m.runs_fused:
                 return
             kind = "dwconv-fused"
         records.append((names[id(m)], kind, params, weights, out.shape))
 
     with module.mode(False), using(grad=False, observer=observer):
-        x = Tensor(np.zeros((batch, in_channels, probe_hw, probe_hw), dtype=np.float32))
+        x = Tensor(np.zeros((1, in_channels, probe_hw, probe_hw), dtype=np.float32))
         module.forward_taps(x)
     return records
 
@@ -150,7 +151,7 @@ def _infer_in_channels(module: Module) -> int:
         return module.cfg.in_channels
     for m in module.modules():
         if isinstance(m, Conv2d):
-            return m.spec.in_channels
+            return m.in_channels
         if isinstance(m, RepHDWConv):
             return m.channels
     raise ConfigError("count_costs: cannot infer input channel count")
@@ -159,7 +160,6 @@ def _infer_in_channels(module: Module) -> int:
 def count_costs(
     module: Module,
     input_hw: tuple[int, int] | int,
-    batch: int = 1,
     in_channels: int | None = None,
 ) -> CostReport:
     """Count parameters and MACs along the active forward path.
@@ -174,7 +174,7 @@ def count_costs(
     if h < 1 or w < 1:
         raise ConfigError(f"count_costs: bad input size {input_hw}")
     in_channels = in_channels or _infer_in_channels(module)
-    records = _probe_record(module, in_channels, _PROBE_HW, batch)
+    records = _probe_record(module, in_channels, _PROBE_HW)
     rows = []
     for name, kind, params, params_nb, out_shape in records:
         ho = out_shape[2]
@@ -194,7 +194,7 @@ def count_costs(
                 name=name,
                 kind=kind,
                 params=params,
-                macs=params_nb * th * tw * batch,
+                macs=params_nb * th * tw,
                 out_shape=(out_shape[0], out_shape[1], th, tw),
                 non_learnable=params if kind == "bn" else 0,
             )

@@ -84,12 +84,10 @@ class Bottleneck(Module):
         cfg: BottleneckConfig,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
-        linear_mode: bool = False,
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.cfg = cfg
-        self.linear_mode = linear_mode
         mid = cfg.expanded
         k = cfg.effective_kernel
         self.pw_expand = Conv2d(cfg.channels, mid, 1, rng=rng, dtype=dtype)
@@ -100,16 +98,13 @@ class Bottleneck(Module):
         self.pw_shrink = Conv2d(mid, cfg.channels, 1, rng=rng, dtype=dtype)
         self.bn_shrink = BatchNorm2d(cfg.channels, dtype=dtype)
 
-    def _act(self, x):
-        return x if self.linear_mode else ops.silu(x)
-
     def forward(self, x):
         if x.shape[1] != self.cfg.channels:
             raise ShapeError(
                 f"Bottleneck: input has {x.shape[1]} channels, expected {self.cfg.channels}"
             )
-        y = self._act(self.bn_expand(self.pw_expand(x)))
-        y = self._act(self.dw(y))
+        y = ops.silu(self.bn_expand(self.pw_expand(x)))
+        y = ops.silu(self.dw(y))
         return self.bn_shrink(self.pw_shrink(y))
 
 
@@ -119,23 +114,17 @@ class RepHELAN(Module):
         cfg: HELANConfig,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
-        linear_mode: bool = False,
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         self.cfg = cfg
-        self.linear_mode = linear_mode
         self.pw_in = Conv2d(cfg.in_channels, 2 * cfg.hidden, 1, rng=rng, dtype=dtype)
         self.bn_in = BatchNorm2d(2 * cfg.hidden, dtype=dtype)
         self.bottlenecks = ModuleList(
-            Bottleneck(cfg.bottleneck, rng=rng, dtype=dtype, linear_mode=linear_mode)
-            for _ in range(cfg.n_bottlenecks)
+            Bottleneck(cfg.bottleneck, rng=rng, dtype=dtype) for _ in range(cfg.n_bottlenecks)
         )
         self.pw_out = Conv2d(cfg.concat_width, cfg.out_channels, 1, rng=rng, dtype=dtype)
         self.bn_out = BatchNorm2d(cfg.out_channels, dtype=dtype)
-
-    def _act(self, x):
-        return x if self.linear_mode else ops.silu(x)
 
     def forward(self, x):
         cfg = self.cfg
@@ -143,7 +132,7 @@ class RepHELAN(Module):
             raise ShapeError(
                 f"RepHELAN: input has {x.shape[1]} channels, expected {cfg.in_channels}"
             )
-        h = self._act(self.bn_in(self.pw_in(x)))
+        h = ops.silu(self.bn_in(self.pw_in(x)))
         s0, s1 = ops.split_channels(h, [cfg.hidden, cfg.hidden])
         chain = [s1]
         for b in self.bottlenecks:
@@ -153,7 +142,7 @@ class RepHELAN(Module):
         else:
             lanes = [s0, chain[-1]]
         y = ops.concat_channels(lanes)
-        return self._act(self.bn_out(self.pw_out(y)))
+        return ops.silu(self.bn_out(self.pw_out(y)))
 
 
 def helan_block(in_channels, out_channels, depth, kernel, toggles, rng, dtype) -> RepHELAN:

@@ -201,6 +201,10 @@ class MAFPN(Module):
                 # lane; AAF projects every lane but `same` to the node width.
                 saf = "up" in kinds
                 assist = round(cfg.saf_ratio * ch[lanes[kinds.index("same")][0]])
+                if saf and "assist-down" in kinds and assist < 1:
+                    raise ConfigError(
+                        f"NeckConfig: saf_ratio {cfg.saf_ratio} leaves node {node} "
+                        f"a 0-channel assist lane")
                 spec = []
                 for s, kind in lanes:
                     if saf:
@@ -214,10 +218,6 @@ class MAFPN(Module):
                 setattr(self, block,
                         helan_block(m.out_channels, width, cfg.depth, kernel, cfg, rng, dtype))
             ch[node] = width
-
-    def forward(self, taps: dict[str, Tensor]) -> dict[str, Tensor]:
-        outs, _ = self.forward_taps(taps)
-        return outs
 
     def forward_taps(self, taps: dict[str, Tensor]):
         vals = {tap: taps[tap] for tap in BACKBONE_TAPS}

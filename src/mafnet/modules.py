@@ -20,42 +20,6 @@ from .tensor import RUNTIME, Tensor
 
 
 @dataclass
-class ConvSpec:
-    """Static description of a 2-D convolution."""
-
-    in_channels: int
-    out_channels: int
-    kernel: int
-    stride: int = 1
-    padding: int | None = None
-    groups: int = 1
-    has_bias: bool = False
-
-    def __post_init__(self):
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ConfigError(f"ConvSpec: kernel must be odd positive, got {self.kernel}")
-        if self.stride not in (1, 2):
-            raise ConfigError(f"ConvSpec: stride must be 1 or 2, got {self.stride}")
-        if self.padding is None:
-            self.padding = self.kernel // 2
-        if self.in_channels % self.groups or self.out_channels % self.groups:
-            raise ConfigError(
-                f"ConvSpec: groups={self.groups} must divide in={self.in_channels} "
-                f"and out={self.out_channels}"
-            )
-
-    @property
-    def depthwise(self) -> bool:
-        return self.groups == self.in_channels == self.out_channels
-
-    def weight_param_count(self) -> int:
-        return (self.in_channels // self.groups) * self.out_channels * self.kernel**2
-
-    def param_count(self) -> int:
-        return self.weight_param_count() + (self.out_channels if self.has_bias else 0)
-
-
-@dataclass
 class BatchNormParams:
     """Per-channel affine normalization statistics (numpy view of a BN layer)."""
 
@@ -154,10 +118,6 @@ class Module:
         finally:
             self.train(was_training)
 
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-
     def param_count(self) -> int:
         return sum(int(p.data.size) for p in self.parameters())
 
@@ -224,8 +184,8 @@ class Conv2d(Module):
         init_std: float | None = None,
     ):
         super().__init__()
-        self.spec = ConvSpec(in_channels, out_channels, kernel, stride, groups=groups,
-                             has_bias=bias)
+        self.in_channels, self.out_channels = in_channels, out_channels
+        self.kernel, self.stride, self.groups = kernel, stride, groups
         rng = rng or np.random.default_rng(0)
         shape = (out_channels, in_channels // groups, kernel, kernel)
         # Kaiming-normal (std sqrt(2 / fan_in)) unless a std is given
@@ -236,12 +196,11 @@ class Conv2d(Module):
         )
 
     def forward(self, x):
-        s = self.spec
-        if x.shape[1] != s.in_channels:
+        if x.shape[1] != self.in_channels:
             raise ShapeError(
-                f"Conv2d: input has {x.shape[1]} channels, layer expects {s.in_channels}"
+                f"Conv2d: input has {x.shape[1]} channels, layer expects {self.in_channels}"
             )
-        return ops.conv2d(x, self.weight, self.bias, s.stride, s.padding, s.groups)
+        return ops.conv2d(x, self.weight, self.bias, self.stride, groups=self.groups)
 
 
 class BatchNorm2d(Module):

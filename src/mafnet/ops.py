@@ -1,16 +1,16 @@
 """Functional operators over Tensor: convolution, batch norm, SiLU,
 nearest-neighbor upsampling, channel concat/split, pooling and the toy loss.
 
-Convolution is one formulation: a tap walker lists, for each of the k^2
-kernel taps, the strided window of the padded input that the tap reads, and
-each direction is a single loop over it. The forward adds mix(window, tap
-weights) into the output, dx scatters mix(gy, tap weights transposed) back
-into the windows, and dw reduces gy against each window. Only the per-tap
-channel mix depends on the kind: a depthwise tap is a per-channel scale, a
-dense tap one tensordot (BLAS), and a grouped conv runs the dense mix on
-each group's channel slices. Memory stays flat at one window per tap. The
-stride-1 depthwise forward walks the same taps over flattened rows instead
-(`_depthwise_rows`), which gives the same bits in far fewer, longer loops.
+Convolution is one formulation for the two kinds the network uses, dense
+and depthwise: a tap walker lists, for each of the k^2 kernel taps, the
+strided window of the padded input that the tap reads, and each direction is
+a single loop over it. The forward adds mix(window, tap weights) into the
+output, dx scatters mix(gy, tap weights transposed) back into the windows,
+and dw reduces gy against each window. Only the per-tap channel mix depends
+on the kind: a depthwise tap is a per-channel scale, a dense tap one
+tensordot (BLAS). Memory stays flat at one window per tap. The depthwise
+forward walks the same taps over flattened rows instead (`_depthwise_rows`),
+which gives the same bits in far fewer, longer loops.
 Gradients are exact; everything here passes the central finite-difference
 checker.
 """
@@ -52,9 +52,10 @@ def _validate_conv(x: Tensor, w: Tensor, stride: int, padding: int, groups: int)
     if padding < 0:
         raise ConfigError(f"conv2d: padding must be non-negative, got {padding}")
     b, cin, h, wdim = x.shape
-    if groups < 1 or cin % groups or out_c % groups:
+    if groups != 1 and not groups == cin == out_c:
         raise ConfigError(
-            f"conv2d: groups={groups} must divide in_channels={cin} and out_channels={out_c}"
+            f"conv2d: groups={groups} must be 1 (dense) or equal in_channels={cin} "
+            f"and out_channels={out_c} (depthwise)"
         )
     if cg != cin // groups:
         raise ShapeError(
@@ -107,9 +108,6 @@ def _dense(acc, a, wt):
 def _dense_reduce(gy, xs):
     return np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
 
-
-_DEPTHWISE = (_scale, _scale_reduce, False)
-_DENSE = (_dense, _dense_reduce, True)
 
 # Rows per block of `_depthwise_rows` hold about this many elements, so that
 # a block's accumulator and the input rows it reads stay in a core's L2 cache.
@@ -167,26 +165,19 @@ def conv2d(
     xd, wd = x.data, w.data
     b, cin, h, wdim = xd.shape
     depthwise = groups == cin == out_c
-    mix, reduce, channels_last = _DEPTHWISE if depthwise else _DENSE
-    # (input channels, output channels) of each independent block: the whole
-    # conv for depthwise and dense, one dense block per group otherwise.
-    nb = 1 if depthwise else groups
-    cb, ob = cin // nb, out_c // nb
-    blocks = [(slice(g * cb, (g + 1) * cb), slice(g * ob, (g + 1) * ob)) for g in range(nb)]
+    mix, reduce = (_scale, _scale_reduce) if depthwise else (_dense, _dense_reduce)
     taps = _taps(k, stride, ho, wo)
 
-    if depthwise and stride == 1:
-        out = _depthwise_rows(xd, wd, padding, ho, wo)
+    if depthwise:
+        # A stride-2 output keeps every other row and column of the stride-1
+        # one; each kept element sees the same taps in the same order.
+        out = _depthwise_rows(xd, wd, padding, *conv_output_hw(h, wdim, k, 1, padding))
+        out = out[..., ::stride, ::stride]
     else:
         xp = _pad_hw(xd, padding)
-        if channels_last:
-            out = np.zeros((b, ho, wo, out_c), dtype=xd.dtype).transpose(0, 3, 1, 2)
-        else:
-            out = np.zeros((b, out_c, ho, wo), dtype=xd.dtype)
-        for ci, co in blocks:
-            xb, acc, wb = xp[:, ci], out[:, co], wd[co]
-            for i, j, win in taps:
-                mix(acc, xb[win], wb[:, :, i, j])
+        out = np.zeros((b, ho, wo, out_c), dtype=xd.dtype).transpose(0, 3, 1, 2)
+        for i, j, win in taps:
+            _dense(out, xp[win], wd[:, :, i, j])
     out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data[None, :, None, None]
@@ -196,20 +187,16 @@ def conv2d(
     def backward(gy):
         if x.requires_grad:
             dxp = np.zeros((b, cin, h + 2 * padding, wdim + 2 * padding), dtype=xd.dtype)
-            for ci, co in blocks:
-                dxb, gb, wb = dxp[:, ci], gy[:, co], wd[co]
-                for i, j, win in taps:
-                    mix(dxb[win], gb, wb[:, :, i, j].T)
+            for i, j, win in taps:
+                mix(dxp[win], gy, wd[:, :, i, j].T)
             if padding:
                 dxp = dxp[:, :, padding : padding + h, padding : padding + wdim]
             x.accumulate_grad(dxp)
         if w.requires_grad:
             xp = _pad_hw(xd, padding)
             dw = np.zeros_like(wd)
-            for ci, co in blocks:
-                xb, gb, dwb = xp[:, ci], gy[:, co], dw[co]
-                for i, j, win in taps:
-                    dwb[:, :, i, j] = reduce(gb, xb[win])
+            for i, j, win in taps:
+                dw[:, :, i, j] = reduce(gy, xp[win])
             w.accumulate_grad(dw)
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(gy.sum(axis=(0, 2, 3)))

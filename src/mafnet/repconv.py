@@ -142,7 +142,7 @@ class RepHDWConv(Module):
         return ops.conv2d(x, w, b, stride=1, padding=self.kernel // 2, groups=self.channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self._fused and not self.training and not RUNTIME.branch_path:
+        if self.runs_fused:
             return self.forward_fused(x)
         return self.forward_train(x)
 
@@ -150,6 +150,12 @@ class RepHDWConv(Module):
     @property
     def fused(self) -> bool:
         return self._fused
+
+    @property
+    def runs_fused(self) -> bool:
+        """Whether a forward runs the merged kernel: fused, in eval mode and
+        not inside `branch_path()`."""
+        return self._fused and not self.training and not RUNTIME.branch_path
 
     def fuse(self) -> tuple[np.ndarray, np.ndarray]:
         """Merge all branches into a single (C,1,K,K) kernel and bias vector.

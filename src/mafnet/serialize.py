@@ -104,6 +104,15 @@ def read_entries(path: str) -> list[tuple[str, np.ndarray]]:
     return entries
 
 
+def _fit(name: str, arr: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """`arr` cast to the dtype of `like`, whose shape it must have."""
+    if arr.shape != like.shape:
+        raise SerializationError(
+            f"shape mismatch for {name!r}: file {arr.shape}, model {like.shape}"
+        )
+    return arr.astype(like.dtype, copy=False)
+
+
 def load_weights(model: Module, path: str) -> None:
     """Restore parameters, buffers and (when stored) fused kernels by name."""
     entries = read_entries(path)
@@ -116,21 +125,14 @@ def load_weights(model: Module, path: str) -> None:
         if m is None:
             raise SerializationError(f"weight entry {name!r} has no matching module")
         if attr in m._params:
-            p = m._params[attr]
-            if p.data.shape != arr.shape:
-                raise SerializationError(
-                    f"shape mismatch for {name!r}: file {arr.shape}, model {p.data.shape}"
-                )
-            p.data = arr.astype(p.data.dtype, copy=False)
+            m._params[attr].data = _fit(name, arr, m._params[attr].data)
         elif attr in m._buffers:
-            if m._buffers[attr].shape != arr.shape:
-                raise SerializationError(
-                    f"shape mismatch for {name!r}: file {arr.shape}, "
-                    f"model {m._buffers[attr].shape}"
-                )
-            m.set_buffer(attr, arr.astype(m._buffers[attr].dtype, copy=False))
+            m.set_buffer(attr, _fit(name, arr, m._buffers[attr]))
         elif isinstance(m, RepHDWConv) and attr in ("fused_weight", "fused_bias"):
-            pending_fused.setdefault(mod_path, {})[attr] = arr
+            # the merged kernel has the large branch's (C,1,K,K) shape and dtype
+            large = getattr(m, f"conv{m.kernel}").weight.data
+            like = large if attr == "fused_weight" else large[:, 0, 0, 0]
+            pending_fused.setdefault(mod_path, {})[attr] = _fit(name, arr, like)
         else:
             raise SerializationError(f"weight entry {name!r} does not exist in the model")
         loaded.add(name)

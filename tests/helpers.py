@@ -4,7 +4,7 @@ The convolution oracle is a direct nested-loop evaluation of the definition,
 written in plain Python so it shares nothing with the library's offset
 decomposition path. The sigmoid oracle is the original boolean-mask form of
 ``ops._sigmoid``, kept as the bitwise reference for its mask-free rewrite, and
-the windowed depthwise oracle is the original per-tap loop of the stride-1
+the windowed depthwise oracle is the original per-tap loop of the
 depthwise forward, kept as the bitwise reference for its flattened-row form.
 """
 
@@ -55,17 +55,18 @@ def mask_sigmoid(xd: np.ndarray) -> np.ndarray:
     return out
 
 
-def windowed_depthwise(xd, wd, padding):
-    """Reference stride-1 depthwise forward: for each kernel tap in row-major
-    order, add the per-channel weight times that tap's window of the padded
+def windowed_depthwise(xd, wd, padding, stride=1):
+    """Reference depthwise forward: for each kernel tap in row-major order,
+    add the per-channel weight times that tap's strided window of the padded
     input into a zero-initialized output."""
     k = wd.shape[2]
     xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    ho, wo = xp.shape[2] - k + 1, xp.shape[3] - k + 1
+    ho, wo = (xp.shape[2] - k) // stride + 1, (xp.shape[3] - k) // stride + 1
     out = np.zeros((xd.shape[0], xd.shape[1], ho, wo), dtype=xd.dtype)
     for i in range(k):
         for j in range(k):
-            out += wd[:, :, i, j].reshape(1, -1, 1, 1) * xp[:, :, i : i + ho, j : j + wo]
+            win = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            out += wd[:, :, i, j].reshape(1, -1, 1, 1) * win
     return out
 
 
@@ -96,14 +97,13 @@ def make_identity_bn(bn: BatchNorm2d) -> None:
 
 def make_identity_conv(conv: Conv2d) -> None:
     """Set a conv's weight to the identity mapping (square 1x1 or Dirac DW)."""
-    s = conv.spec
-    if s.depthwise:
-        conv.weight.data = dirac_depthwise(s.in_channels, s.kernel, conv.weight.dtype)
+    if conv.groups > 1:
+        conv.weight.data = dirac_depthwise(conv.in_channels, conv.kernel, conv.weight.dtype)
     else:
-        assert s.in_channels == s.out_channels and s.kernel == 1
-        conv.weight.data = identity_pointwise(s.in_channels, conv.weight.dtype)
+        assert conv.in_channels == conv.out_channels and conv.kernel == 1
+        conv.weight.data = identity_pointwise(conv.in_channels, conv.weight.dtype)
     if conv.bias is not None:
-        conv.bias.data = np.zeros(s.out_channels, dtype=conv.bias.dtype)
+        conv.bias.data = np.zeros(conv.out_channels, dtype=conv.bias.dtype)
 
 
 def zero_module(module) -> None:

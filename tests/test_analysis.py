@@ -19,7 +19,7 @@ from mafnet import (
 )
 from mafnet.errors import ConfigError
 from mafnet.model import calibrate_bn_stats
-from mafnet.repconv import randomize_bn_stats
+from mafnet.repconv import branch_path, randomize_bn_stats
 
 rng = np.random.default_rng
 
@@ -63,6 +63,17 @@ def test_macs_scale_with_resolution():
     m640 = count_costs(model, 640).total_macs
     m320 = count_costs(model, 320).total_macs
     assert m640 == 4 * m320
+
+
+def test_fused_model_under_branch_path_counts_as_unfused():
+    model = build_model(toy_config(seed=1))
+    unfused = count_costs(model, 64).to_dict()
+    model.eval()
+    fuse_model(model)
+    with branch_path():
+        under = count_costs(model, 64).to_dict()
+    assert under == unfused
+    assert not any(r["kind"] == "dwconv-fused" for r in under["rows"])
 
 
 def test_fused_delta_matches_closed_form():

@@ -247,6 +247,7 @@ def test_degenerate_counts_exit_2(capsys, argv):
         ({"neck": 5}, "neck"),
         ({"neck": {"widths": "abc"}}, "widths"),
         ({"neck": {"saf_ratio": "half"}}, "saf_ratio"),
+        ({"neck": {"saf_ratio": 0.005}}, "saf_ratio"),
         ({"neck": {"enable_saf": 0}}, "enable_saf"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,

@@ -13,7 +13,7 @@ from mafnet import (
     randomize_weights,
 )
 from mafnet import ops
-from mafnet.errors import ShapeError
+from mafnet.errors import ConfigError, ShapeError
 
 from helpers import zero_module
 
@@ -46,13 +46,20 @@ SAF_LANES = (("assist-down", 8, 8), ("same", 16, 16), ("up", 4, 4))
 
 def test_saf_width_rule_and_shape():
     neck = _neck()  # P3 -> 16, P4 -> 24 channels; P'5 -> 32
-    assert neck.saf4.assist.proj.spec.out_channels == round(0.5 * 24)
+    assert neck.saf4.assist.proj.out_channels == round(0.5 * 24)
     assert neck.saf4.lanes == (("assist-down", 16, 12), ("same", 24, 24), ("up", 32, 32))
     shallow = Tensor(np.zeros((1, 16, 16, 16), dtype=np.float32))
     same = Tensor(np.zeros((1, 24, 8, 8), dtype=np.float32))
     deep = Tensor(np.zeros((1, 32, 4, 4), dtype=np.float32))
     y = neck.saf4(shallow, same, deep)
     assert y.shape == (1, 12 + 24 + 32, 8, 8) and neck.saf4.out_channels == 12 + 24 + 32
+
+
+def test_saf_ratio_that_rounds_an_assist_lane_to_zero_is_rejected():
+    # P'4 gets round(0.03 * 24) = 1 assist channel, P'3 round(0.03 * 16) = 0
+    cfg = NeckConfig(widths=[16, 24, 32], depth=1, saf_ratio=0.03)
+    with pytest.raises(ConfigError, match="saf_ratio 0.03 leaves node P'3 a 0-channel"):
+        MAFPN([8, 16, 24, 32], cfg, rng=rng(0))
 
 
 def test_saf_assist_lane_isolation():

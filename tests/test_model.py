@@ -251,6 +251,81 @@ def test_unknown_entry_rejected(tmp_path):
         load_weights(fresh, str(p))
 
 
+def _write_entries(path, entries):
+    """A weight file holding exactly `entries`, in order."""
+    from mafnet.serialize import VERSION
+
+    blob = MAGIC + struct.pack("<II", VERSION, len(entries))
+    for name, arr in entries:
+        nm = name.encode()
+        blob += struct.pack("<I", len(nm)) + nm
+        blob += struct.pack("<II", {"float32": 0, "float64": 1}[arr.dtype.name], arr.ndim)
+        blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
+        blob += arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    path.write_bytes(blob)
+
+
+def _fused_unit(dtype=np.float32):
+    unit = RepHDWConv(2, 5, rng=rng(14), dtype=dtype)
+    unit.eval()
+    unit.fuse()
+    return unit
+
+
+@pytest.mark.parametrize(
+    "entry, arr, match",
+    [
+        ("conv5.weight", np.zeros((2, 1, 3, 3), np.float32),
+         r"shape mismatch for 'conv5.weight': file \(2, 1, 3, 3\), model \(2, 1, 5, 5\)"),
+        ("bn5.running_mean", np.zeros(3, np.float32),
+         r"shape mismatch for 'bn5.running_mean': file \(3,\), model \(2,\)"),
+        ("fused_weight", np.zeros((2, 1, 3, 3), np.float32),
+         r"shape mismatch for 'fused_weight': file \(2, 1, 3, 3\), model \(2, 1, 5, 5\)"),
+        ("fused_weight", np.zeros((1, 2, 5, 5), np.float32), "'fused_weight'"),
+        ("fused_bias", np.zeros((2, 1), np.float32), r"shape mismatch for 'fused_bias'"),
+    ],
+    ids=["parameter", "buffer", "fused-kernel-size", "fused-kernel-layout", "fused-bias"],
+)
+def test_load_rejects_entry_of_wrong_shape(tmp_path, entry, arr, match):
+    entries = [(n, arr if n == entry else a) for n, a in _fused_unit().state_entries()]
+    p = tmp_path / "w.mafw"
+    _write_entries(p, entries)
+    with pytest.raises(SerializationError, match=match):
+        load_weights(RepHDWConv(2, 5, rng=rng(15)), str(p))
+
+
+def test_load_rejects_missing_entries(tmp_path):
+    entries = list(_fused_unit().state_entries())
+    p = tmp_path / "w.mafw"
+    _write_entries(p, [e for e in entries if e[0] != "bn3.running_var"])
+    with pytest.raises(SerializationError, match=r"missing entries: \['bn3.running_var'\]"):
+        load_weights(RepHDWConv(2, 5, rng=rng(15)), str(p))
+
+
+def test_load_rejects_incomplete_fused_pair(tmp_path):
+    entries = list(_fused_unit().state_entries())
+    p = tmp_path / "w.mafw"
+    _write_entries(p, [e for e in entries if e[0] != "fused_bias"])
+    with pytest.raises(SerializationError, match="fused weight entries are incomplete"):
+        load_weights(RepHDWConv(2, 5, rng=rng(15)), str(p))
+
+
+def test_load_casts_fused_kernels_to_the_model_dtype(tmp_path):
+    wide = _fused_unit(np.float64)
+    p = tmp_path / "w.mafw"
+    save_weights(wide, str(p))
+    unit = RepHDWConv(2, 5, rng=rng(15))
+    load_weights(unit, str(p))
+    assert unit.fused_weight.dtype == unit.fused_bias.dtype == np.float32
+    unit.eval()
+    x = rng(16).standard_normal((1, 2, 6, 6))
+    with no_grad():
+        y = unit(Tensor(x.astype(np.float32)))
+        ref = wide(Tensor(x))
+    assert y.dtype == np.float32
+    np.testing.assert_allclose(y.data, ref.data, rtol=1e-5, atol=1e-5)
+
+
 def test_weight_file_fuzz_raises_only_serialization_error(tmp_path):
     unit = RepHDWConv(2, 5, rng=rng(12))
     p = tmp_path / "unit.mafw"
