@@ -15,7 +15,7 @@ from mafnet import (
     layer_inventory,
     no_grad,
 )
-from mafnet.blocks import BottleneckConfig, HELANConfig, RepHELAN
+from mafnet.blocks import RepHELAN
 
 rng = np.random.default_rng(0)
 
@@ -25,11 +25,8 @@ for label, kw in [
     ("large kernel", dict(use_rep=False, use_large=True)),
     ("rep branches", dict(use_rep=True, use_large=True)),
 ]:
-    bcfg = BottleneckConfig(channels=8, kernel=9, **kw)
-    block = RepHELAN(
-        HELANConfig(in_channels=16, out_channels=16, hidden=8, n_bottlenecks=1, bottleneck=bcfg),
-        rng=np.random.default_rng(0),
-    )
+    # a block takes its toggles from a neck (or model) config
+    block = RepHELAN(16, 16, 1, 9, NeckConfig(**kw), rng=np.random.default_rng(0))
     kinds = [
         (r["kind"], r.get("kernel") or r.get("branch_kernels"))
         for r in layer_inventory(block)

@@ -18,7 +18,7 @@ from .analysis import (
     write_heatmap_csv,
     write_heatmap_pgm,
 )
-from .blocks import Bottleneck, BottleneckConfig, HELANConfig, RepHELAN
+from .blocks import Bottleneck, RepHELAN
 from .errors import (
     AutogradError,
     ConfigError,

@@ -4,12 +4,13 @@ The bottleneck expands channels with a 1x1 conv, applies a (reparameterized
 heterogeneous) depthwise conv, and shrinks back with a second 1x1 conv. The
 RepHELAN block splits its stem output into a pass-through lane and a chain
 of bottlenecks; with the aggregation mechanism on, every intermediate chain
-output is retained and concatenated before the transition conv.
+output is retained and concatenated before the transition conv. Blocks take
+their toggles from a model or neck config, which checks its values here once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -19,61 +20,25 @@ from .modules import BatchNorm2d, Conv2d, Module, ModuleList
 from .repconv import RepHDWConv
 
 
-@dataclass
-class BottleneckConfig:
-    channels: int
-    expansion: float = 2.0
-    kernel: int = 5
-    use_rep: bool = True
-    use_large: bool = True
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ConfigError(f"BottleneckConfig: channels must be >= 1, got {self.channels}")
-        if self.kernel % 2 == 0 or self.kernel < 3:
-            raise ConfigError(f"BottleneckConfig: kernel must be odd >= 3, got {self.kernel}")
-        if round(self.channels * self.expansion) < self.channels:
+def check_block_rules(cfg, prefix: str, widths: str, kernels: str, depths: str) -> None:
+    """Reject values no block can be built from, naming the JSON field (prefix +
+    the cfg field named by `widths`, `kernels` or `depths`, or expansion). A
+    block of width w has hidden width w // 2, which expansion must not shrink."""
+    for name, rule, ok in (
+        (widths, "must all be >= 2", lambda v: v >= 2),
+        (kernels, "must all be odd and >= 3", lambda v: v >= 3 and v % 2),
+        (depths, "must be >= 1", lambda v: v >= 1),
+    ):
+        values = getattr(cfg, name)
+        if not all(map(ok, values if isinstance(values, list) else [values])):
+            raise ConfigError(f"model config: {prefix}{name} {rule}, got {values}")
+    e = cfg.expansion
+    if not math.isfinite(e):
+        raise ConfigError(f"model config: {prefix}expansion must be finite, got {e}")
+    for h in (w // 2 for w in getattr(cfg, widths)):
+        if round(h * e) < h:
             raise ConfigError(
-                f"BottleneckConfig: expansion {self.expansion} shrinks {self.channels} channels"
-            )
-
-    @property
-    def expanded(self) -> int:
-        return int(round(self.channels * self.expansion))
-
-    @property
-    def effective_kernel(self) -> int:
-        # Without the large-kernel mechanism every spatial conv is 5x5.
-        return self.kernel if self.use_large else min(self.kernel, 5)
-
-
-@dataclass
-class HELANConfig:
-    in_channels: int
-    out_channels: int
-    hidden: int
-    n_bottlenecks: int = 2
-    bottleneck: BottleneckConfig | None = None
-    use_elan: bool = True
-
-    def __post_init__(self):
-        if self.n_bottlenecks < 1:
-            raise ConfigError(
-                f"HELANConfig: n_bottlenecks must be >= 1, got {self.n_bottlenecks}"
-            )
-        if self.bottleneck is None:
-            self.bottleneck = BottleneckConfig(channels=self.hidden)
-        if self.bottleneck.channels != self.hidden:
-            raise ConfigError(
-                f"HELANConfig: bottleneck channels {self.bottleneck.channels} "
-                f"!= hidden {self.hidden}"
-            )
-
-    @property
-    def concat_width(self) -> int:
-        if self.use_elan:
-            return (2 + self.n_bottlenecks) * self.hidden
-        return 2 * self.hidden
+                f"model config: {prefix}expansion {e} shrinks a hidden width {h} to {round(h * e)}")
 
 
 class Bottleneck(Module):
@@ -81,27 +46,27 @@ class Bottleneck(Module):
 
     def __init__(
         self,
-        cfg: BottleneckConfig,
+        channels: int,
+        kernel: int,
+        expansion: float = 2.0,
+        use_rep: bool = True,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.cfg = cfg
-        mid = cfg.expanded
-        k = cfg.effective_kernel
-        self.pw_expand = Conv2d(cfg.channels, mid, 1, rng=rng, dtype=dtype)
+        self.channels = channels
+        mid = int(round(channels * expansion))
+        self.pw_expand = Conv2d(channels, mid, 1, rng=rng, dtype=dtype)
         self.bn_expand = BatchNorm2d(mid, dtype=dtype)
-        self.dw = RepHDWConv(
-            mid, k, small_kernels=None if cfg.use_rep else [], rng=rng, dtype=dtype
-        )
-        self.pw_shrink = Conv2d(mid, cfg.channels, 1, rng=rng, dtype=dtype)
-        self.bn_shrink = BatchNorm2d(cfg.channels, dtype=dtype)
+        self.dw = RepHDWConv(mid, kernel, use_rep, rng=rng, dtype=dtype)
+        self.pw_shrink = Conv2d(mid, channels, 1, rng=rng, dtype=dtype)
+        self.bn_shrink = BatchNorm2d(channels, dtype=dtype)
 
     def forward(self, x):
-        if x.shape[1] != self.cfg.channels:
+        if x.shape[1] != self.channels:
             raise ShapeError(
-                f"Bottleneck: input has {x.shape[1]} channels, expected {self.cfg.channels}"
+                f"Bottleneck: input has {x.shape[1]} channels, expected {self.channels}"
             )
         y = ops.silu(self.bn_expand(self.pw_expand(x)))
         y = ops.silu(self.dw(y))
@@ -109,55 +74,48 @@ class Bottleneck(Module):
 
 
 class RepHELAN(Module):
-    def __init__(
-        self,
-        cfg: HELANConfig,
-        rng: np.random.Generator | None = None,
-        dtype=np.float32,
-    ):
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.cfg = cfg
-        self.pw_in = Conv2d(cfg.in_channels, 2 * cfg.hidden, 1, rng=rng, dtype=dtype)
-        self.bn_in = BatchNorm2d(2 * cfg.hidden, dtype=dtype)
-        self.bottlenecks = ModuleList(
-            Bottleneck(cfg.bottleneck, rng=rng, dtype=dtype) for _ in range(cfg.n_bottlenecks)
-        )
-        self.pw_out = Conv2d(cfg.concat_width, cfg.out_channels, 1, rng=rng, dtype=dtype)
-        self.bn_out = BatchNorm2d(cfg.out_channels, dtype=dtype)
-
-    def forward(self, x):
-        cfg = self.cfg
-        if x.shape[1] != cfg.in_channels:
-            raise ShapeError(
-                f"RepHELAN: input has {x.shape[1]} channels, expected {cfg.in_channels}"
-            )
-        h = ops.silu(self.bn_in(self.pw_in(x)))
-        s0, s1 = ops.split_channels(h, [cfg.hidden, cfg.hidden])
-        chain = [s1]
-        for b in self.bottlenecks:
-            chain.append(b(chain[-1]))
-        if cfg.use_elan:
-            lanes = [s0] + chain
-        else:
-            lanes = [s0, chain[-1]]
-        y = ops.concat_channels(lanes)
-        return ops.silu(self.bn_out(self.pw_out(y)))
-
-
-def helan_block(in_channels, out_channels, depth, kernel, toggles, rng, dtype) -> RepHELAN:
     """RepHELAN with hidden width out/2 and `depth` bottlenecks.
 
     `toggles` is a model or neck config: its expansion, use_rep, use_large and
-    use_elan fields set the block structure.
+    use_elan fields set the block structure. Without the large-kernel
+    mechanism every depthwise conv is at most 5x5.
     """
-    hidden = out_channels // 2
-    bottleneck = BottleneckConfig(
-        channels=hidden,
-        expansion=toggles.expansion,
-        kernel=kernel,
-        use_rep=toggles.use_rep,
-        use_large=toggles.use_large,
-    )
-    cfg = HELANConfig(in_channels, out_channels, hidden, depth, bottleneck, toggles.use_elan)
-    return RepHELAN(cfg, rng=rng, dtype=dtype)
+
+    def __init__(
+        self,
+        in_channels: int,
+        out_channels: int,
+        depth: int,
+        kernel: int,
+        toggles,
+        rng: np.random.Generator,
+        dtype=np.float32,
+    ):
+        super().__init__()
+        self.in_channels = in_channels
+        self.hidden = hidden = out_channels // 2
+        self.use_elan = toggles.use_elan
+        self.concat_width = (2 + depth if self.use_elan else 2) * hidden
+        kernel = kernel if toggles.use_large else min(kernel, 5)
+        self.pw_in = Conv2d(in_channels, 2 * hidden, 1, rng=rng, dtype=dtype)
+        self.bn_in = BatchNorm2d(2 * hidden, dtype=dtype)
+        self.bottlenecks = ModuleList(
+            Bottleneck(hidden, kernel, toggles.expansion, toggles.use_rep, rng=rng, dtype=dtype)
+            for _ in range(depth)
+        )
+        self.pw_out = Conv2d(self.concat_width, out_channels, 1, rng=rng, dtype=dtype)
+        self.bn_out = BatchNorm2d(out_channels, dtype=dtype)
+
+    def forward(self, x):
+        if x.shape[1] != self.in_channels:
+            raise ShapeError(
+                f"RepHELAN: input has {x.shape[1]} channels, expected {self.in_channels}"
+            )
+        h = ops.silu(self.bn_in(self.pw_in(x)))
+        s0, s1 = ops.split_channels(h, [self.hidden, self.hidden])
+        chain = [s1]
+        for b in self.bottlenecks:
+            chain.append(b(chain[-1]))
+        lanes = [s0] + chain if self.use_elan else [s0, chain[-1]]
+        y = ops.concat_channels(lanes)
+        return ops.silu(self.bn_out(self.pw_out(y)))

@@ -14,7 +14,7 @@ import functools
 import numpy as np
 
 from . import ops
-from .blocks import Bottleneck, BottleneckConfig
+from .blocks import Bottleneck
 from .errors import ConfigError
 from .mafpn import SAFFuse, AAFFuse
 from .repconv import RepHDWConv, randomize_bn_stats
@@ -178,8 +178,7 @@ CHECKS = (
         lambda rng: RepHDWConv(3, 5, rng=rng, dtype=np.float64),
         lambda m, t: m(t["x"]), x=(2, 3, 6, 6))),
     ("bottleneck", "bottleneck", _module(
-        lambda rng: Bottleneck(BottleneckConfig(channels=3, expansion=2.0, kernel=7, use_rep=True),
-                               rng=rng, dtype=np.float64),
+        lambda rng: Bottleneck(3, 7, rng=rng, dtype=np.float64),
         lambda m, t: m(t["x"]), x=(1, 3, 8, 8))),
     ("saf", "saf", _module(
         lambda rng: SAFFuse((("assist-down", 2, 2), ("same", 3, 3), ("up", 4, 4)),

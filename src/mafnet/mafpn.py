@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .blocks import helan_block
+from .blocks import RepHELAN, check_block_rules
 from .errors import ConfigError, ShapeError
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module
 from .tensor import Tensor
@@ -40,12 +40,13 @@ class NeckConfig:
     use_large: bool = True
 
     def __post_init__(self):
-        if len(self.widths) != 3 or any(w < 1 for w in self.widths):
-            raise ConfigError(f"NeckConfig: widths must be three positive ints, got {self.widths}")
+        if len(self.widths) != 3:
+            raise ConfigError(f"NeckConfig: widths must list three widths, got {self.widths}")
         if len(self.kernels) != 3:
             raise ConfigError(f"NeckConfig: kernels must list three sizes, got {self.kernels}")
         if not 0.0 < self.saf_ratio <= 1.0:
             raise ConfigError(f"NeckConfig: saf_ratio must be in (0,1], got {self.saf_ratio}")
+        check_block_rules(self, "neck.", "widths", "kernels", "depth")
 
 
 BACKBONE_TAPS = ("P2", "P3", "P4", "P5")
@@ -214,9 +215,8 @@ class MAFPN(Module):
                 m = (SAFFuse if saf else AAFFuse)(spec, node, rng=rng, dtype=dtype)
             setattr(self, fuse, m)
             if block:
-                kernel = cfg.kernels[level]
-                setattr(self, block,
-                        helan_block(m.out_channels, width, cfg.depth, kernel, cfg, rng, dtype))
+                setattr(self, block, RepHELAN(
+                    m.out_channels, width, cfg.depth, cfg.kernels[level], cfg, rng, dtype))
             ch[node] = width
 
     def forward_taps(self, taps: dict[str, Tensor]):

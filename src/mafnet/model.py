@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .blocks import helan_block
+from .blocks import RepHELAN, check_block_rules
 from .errors import ConfigError, ShapeError
 from .mafpn import MAFPN, NeckConfig
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module, ModuleList
@@ -54,23 +54,20 @@ class ModelConfig:
                 f"ModelConfig.backbone_kernels: need exactly 4 kernels, got {self.backbone_kernels}"
             )
         ks = self.backbone_kernels
-        if any(k % 2 == 0 for k in ks) or sorted(ks) != ks or len(set(ks)) != 4:
+        if sorted(ks) != ks or len(set(ks)) != 4:
             raise ConfigError(
-                f"ModelConfig.backbone_kernels: must be strictly increasing odd, got {ks}"
+                f"ModelConfig.backbone_kernels: must be strictly increasing, got {ks}"
             )
         for name in ("stem_width", "head_width", "head_out_channels", "in_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"ModelConfig.{name}: must be positive")
         if self.seed < 0:
             raise ConfigError(f"ModelConfig.seed: must be >= 0, got {self.seed}")
-        if any(w < 2 or w % 2 for w in self.stage_widths):
+        if any(w % 2 for w in self.stage_widths):
             raise ConfigError(
-                f"ModelConfig.stage_widths: must be positive even, got {self.stage_widths}"
+                f"ModelConfig.stage_widths: must be even, got {self.stage_widths}"
             )
-        if any(d < 1 for d in self.stage_depths):
-            raise ConfigError(
-                f"ModelConfig.stage_depths: must be >= 1, got {self.stage_depths}"
-            )
+        check_block_rules(self, "", "stage_widths", "backbone_kernels", "stage_depths")
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:
@@ -133,7 +130,7 @@ class Stage(Module):
     def __init__(self, in_ch, width, depth, kernel, cfg: ModelConfig, rng, dtype):
         super().__init__()
         self.down = ConvBN(in_ch, width, 3, stride=2, rng=rng, dtype=dtype)
-        self.block = helan_block(width, width, depth, kernel, cfg, rng, dtype)
+        self.block = RepHELAN(width, width, depth, kernel, cfg, rng, dtype)
 
     def forward(self, x):
         return self.block(self.down(x))
@@ -175,8 +172,8 @@ class HeadBranch(Module):
     def __init__(self, in_ch, width, out_ch, use_rep, rng, dtype):
         super().__init__()
         self.proj = ConvBN(in_ch, width, 1, rng=rng, dtype=dtype)
-        self.dw1 = RepHDWConv(width, 7, small_kernels=None if use_rep else [], rng=rng, dtype=dtype)
-        self.dw2 = RepHDWConv(width, 7, small_kernels=None if use_rep else [], rng=rng, dtype=dtype)
+        self.dw1 = RepHDWConv(width, 7, use_rep, rng=rng, dtype=dtype)
+        self.dw2 = RepHDWConv(width, 7, use_rep, rng=rng, dtype=dtype)
         # prediction conv: small init keeps raw output maps near zero
         self.out = Conv2d(width, out_ch, 1, bias=True, rng=rng, dtype=dtype, init_std=0.01)
 
@@ -285,13 +282,10 @@ def rep_units(model: Module) -> list[tuple[str, RepHDWConv]]:
 
 def ghks_kernels(model: Model) -> dict[str, list[int]]:
     """Depthwise kernel schedule actually present in the built model."""
-    backbone = [stage.block.cfg.bottleneck.effective_kernel for stage in model.backbone.stages]
+    backbone = [stage.block.bottlenecks[0].dw.kernel for stage in model.backbone.stages]
     neck = sorted(
-        {
-            getattr(model.neck, block).cfg.bottleneck.effective_kernel
-            for _, _, block, _, _ in model.neck.nodes
-            if block
-        }
+        {getattr(model.neck, block).bottlenecks[0].dw.kernel
+         for _, _, block, _, _ in model.neck.nodes if block}
     )
     return {"backbone": backbone, "neck": neck}
 

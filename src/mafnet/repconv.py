@@ -78,40 +78,26 @@ def hetero_branch_sum(x: Tensor, branches: list[tuple[Conv2d, BatchNorm2d]]) -> 
 class RepHDWConv(Module):
     """Parallel heterogeneous depthwise branches, mergeable into one kernel.
 
-    kernel is the large branch size; small_kernels defaults to every
-    admissible odd size below it. Passing small_kernels=[] degrades the unit
-    to a single depthwise conv + BN (the reparameterization toggle off).
+    kernel is the large branch size; the small branches are every admissible
+    odd size below it. With use_rep off (the reparameterization toggle) the
+    unit is a single depthwise conv + BN.
     """
 
     def __init__(
         self,
         channels: int,
         kernel: int,
-        small_kernels: list[int] | None = None,
+        use_rep: bool = True,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
     ):
         super().__init__()
         if kernel < 3 or kernel % 2 == 0:
             raise ConfigError(f"RepHDWConv: kernel must be odd and >= 3, got {kernel}")
-        if small_kernels is None:
-            small_kernels = default_small_kernels(kernel)
-        seen = set()
-        for k in small_kernels:
-            if k % 2 == 0 or k < 3 or k >= kernel:
-                raise ConfigError(
-                    f"RepHDWConv: small kernel {k} must be odd, >= 3 and < {kernel}"
-                )
-            if k in seen:
-                raise ConfigError(f"RepHDWConv: duplicate small kernel {k}")
-            seen.add(k)
-        if sorted(small_kernels, reverse=True) != list(small_kernels):
-            raise ConfigError(f"RepHDWConv: small kernels must be strictly decreasing, got {small_kernels}")
-
         rng = rng or np.random.default_rng(0)
         self.channels = channels
         self.kernel = kernel
-        self.small_kernels = list(small_kernels)
+        self.small_kernels = default_small_kernels(kernel) if use_rep else []
         self.branch_kernels = [kernel] + self.small_kernels
         for k in self.branch_kernels:
             conv = Conv2d(channels, channels, k, groups=channels, rng=rng, dtype=dtype)

@@ -3,8 +3,7 @@ import pytest
 
 from mafnet import (
     Bottleneck,
-    BottleneckConfig,
-    HELANConfig,
+    NeckConfig,
     RepHELAN,
     Tensor,
     layer_inventory,
@@ -25,8 +24,7 @@ rng = np.random.default_rng
 
 
 def test_bottleneck_zero_weights_annihilate():
-    cfg = BottleneckConfig(channels=4, expansion=2.0, kernel=5)
-    block = Bottleneck(cfg, rng=rng(0))
+    block = Bottleneck(4, 5, expansion=2.0, rng=rng(0))
     zero_module(block)
     block.eval()
     x = Tensor(rng(1).standard_normal((1, 4, 6, 6)).astype(np.float32))
@@ -35,8 +33,7 @@ def test_bottleneck_zero_weights_annihilate():
 
 
 def test_bottleneck_identity_composition():
-    cfg = BottleneckConfig(channels=3, expansion=1.0, kernel=5, use_rep=False)
-    block = Bottleneck(cfg, rng=rng(0))
+    block = Bottleneck(3, 5, expansion=1.0, use_rep=False, rng=rng(0))
     make_identity_conv(block.pw_expand)
     make_identity_conv(block.pw_shrink)
     make_identity_bn(block.bn_expand)
@@ -52,8 +49,7 @@ def test_bottleneck_identity_composition():
 
 def test_bottleneck_compositional_oracle():
     r = rng(3)
-    cfg = BottleneckConfig(channels=8, expansion=2.0, kernel=7, use_rep=True)
-    block = Bottleneck(cfg, rng=r)
+    block = Bottleneck(8, 7, expansion=2.0, use_rep=True, rng=r)
     randomize_bn_stats(block, r)
     block.eval()
     x = Tensor(r.standard_normal((1, 8, 10, 10)).astype(np.float32))
@@ -74,19 +70,19 @@ def test_bottleneck_compositional_oracle():
 
 
 def test_bottleneck_kernel_degradations():
-    plain = Bottleneck(BottleneckConfig(channels=4, kernel=7, use_rep=False), rng=rng(0))
+    plain = Bottleneck(4, 7, use_rep=False, rng=rng(0))
     assert plain.dw.branch_kernels == [7]
-    small = Bottleneck(BottleneckConfig(channels=4, kernel=9, use_large=False), rng=rng(0))
+    # the large-kernel toggle acts in the block: without it every unit is <= 5x5
+    small = _helan(out_ch=8, kernel=9, use_large=False).bottlenecks[0]
     assert small.dw.kernel == 5
     assert small.dw.branch_kernels == [5, 3]
-    neither = Bottleneck(
-        BottleneckConfig(channels=4, kernel=9, use_rep=False, use_large=False), rng=rng(0)
-    )
+    neither = _helan(out_ch=8, kernel=9, use_rep=False, use_large=False).bottlenecks[0]
     assert neither.dw.branch_kernels == [5]
+    assert _helan(out_ch=8, kernel=3, use_large=False).bottlenecks[0].dw.kernel == 3
 
 
 def test_bottleneck_channel_mismatch():
-    block = Bottleneck(BottleneckConfig(channels=4), rng=rng(0))
+    block = Bottleneck(4, 5, rng=rng(0))
     with pytest.raises(ShapeError, match="channels"):
         block(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)))
 
@@ -95,21 +91,13 @@ def test_bottleneck_channel_mismatch():
 # RepHELAN
 # ---------------------------------------------------------------------------
 
-def _helan(in_ch=4, out_ch=4, hidden=2, n=1, use_elan=True, kernel=5, seed=0, **bkw):
-    bcfg = BottleneckConfig(channels=hidden, kernel=kernel, **bkw)
-    cfg = HELANConfig(
-        in_channels=in_ch,
-        out_channels=out_ch,
-        hidden=hidden,
-        n_bottlenecks=n,
-        bottleneck=bcfg,
-        use_elan=use_elan,
-    )
-    return RepHELAN(cfg, rng=rng(seed))
+def _helan(in_ch=4, out_ch=4, n=1, kernel=5, seed=0, **toggles):
+    # the toggles (use_elan, use_rep, use_large, expansion) come from a neck config
+    return RepHELAN(in_ch, out_ch, n, kernel, NeckConfig(**toggles), rng=rng(seed))
 
 
 def test_helan_passthrough_lane_survives():
-    block = _helan(in_ch=4, out_ch=4, hidden=2, n=1)
+    block = _helan(in_ch=4, out_ch=4, n=1)
     for b in block.bottlenecks:
         zero_module(b)
     make_identity_conv(block.pw_in)  # 4 -> 4 = 2*hidden
@@ -117,7 +105,7 @@ def test_helan_passthrough_lane_survives():
     make_identity_bn(block.bn_out)
     # pw_out selects the first two concat lanes (s0) into the first two
     # output channels; everything else zero
-    w = np.zeros((4, block.cfg.concat_width, 1, 1), dtype=np.float32)
+    w = np.zeros((4, block.concat_width, 1, 1), dtype=np.float32)
     w[0, 0, 0, 0] = 1.0
     w[1, 1, 0, 0] = 1.0
     block.pw_out.weight.data = w
@@ -131,17 +119,18 @@ def test_helan_passthrough_lane_survives():
 
 
 def test_helan_concat_width_by_elan_toggle():
-    on = _helan(hidden=3, n=2, use_elan=True)
-    off = _helan(hidden=3, n=2, use_elan=False)
-    assert on.cfg.concat_width == (2 + 2) * 3
-    assert off.cfg.concat_width == 2 * 3
+    on = _helan(out_ch=6, n=2, use_elan=True)
+    off = _helan(out_ch=6, n=2, use_elan=False)
+    assert on.hidden == off.hidden == 3
+    assert on.concat_width == (2 + 2) * 3
+    assert off.concat_width == 2 * 3
     assert on.pw_out.in_channels == 12
     assert off.pw_out.in_channels == 6
 
 
 def test_helan_compositional_oracle():
     r = rng(5)
-    block = _helan(in_ch=6, out_ch=8, hidden=4, n=2, seed=5)
+    block = _helan(in_ch=6, out_ch=8, n=2, seed=5)
     randomize_weights(block, r)
     randomize_bn_stats(block, r)
     block.eval()
@@ -162,7 +151,7 @@ def test_helan_compositional_oracle():
 
 @pytest.mark.parametrize("hw", [(8, 8), (16, 12), (5, 9)])
 def test_helan_preserves_spatial_dims(hw):
-    block = _helan(in_ch=4, out_ch=6, hidden=2, n=2)
+    block = _helan(in_ch=4, out_ch=6, n=2)
     block.eval()
     x = Tensor(np.ones((1, 4, *hw), dtype=np.float32))
     assert block(x).shape == (1, 6, *hw)
@@ -170,7 +159,7 @@ def test_helan_preserves_spatial_dims(hw):
 
 def test_helan_gradient_reach():
     r = rng(6)
-    block = _helan(in_ch=4, out_ch=4, hidden=2, n=2, use_elan=True)
+    block = _helan(in_ch=4, out_ch=4, n=2, use_elan=True)
     block.eval()
     x = Tensor(r.standard_normal((1, 4, 6, 6)).astype(np.float32))
     ops.sum_all(block(x)).backward()
@@ -184,22 +173,22 @@ def test_helan_gradient_reach():
 def test_inventory_toggle_semantics():
     # all mechanisms off: exactly one 5x5 depthwise conv per bottleneck,
     # no retained intermediates
-    off = _helan(hidden=4, n=2, use_elan=False, kernel=9, use_rep=False, use_large=False)
+    off = _helan(out_ch=8, n=2, use_elan=False, kernel=9, use_rep=False, use_large=False)
     inv = layer_inventory(off)
     dw = [r for r in inv if r["kind"] == "dwconv"]
     assert len(dw) == 2
     assert all(r["kernel"] == 5 for r in dw)
     assert off.pw_out.in_channels == 2 * 4
 
-    rep_on = _helan(hidden=4, n=2, use_elan=False, kernel=9, use_rep=True, use_large=False)
+    rep_on = _helan(out_ch=8, n=2, use_elan=False, kernel=9, use_rep=True, use_large=False)
     inv_rep = layer_inventory(rep_on)
     assert [r for r in inv_rep if r["kind"] == "rephdw"][0]["branch_kernels"] == [5, 3]
 
-    lk_on = _helan(hidden=4, n=2, use_elan=False, kernel=9, use_rep=False, use_large=True)
+    lk_on = _helan(out_ch=8, n=2, use_elan=False, kernel=9, use_rep=False, use_large=True)
     dw_lk = [r for r in layer_inventory(lk_on) if r["kind"] == "dwconv"]
     assert all(r["kernel"] == 9 for r in dw_lk)
 
 
-def test_helan_rejects_zero_bottlenecks():
-    with pytest.raises(ConfigError, match="n_bottlenecks"):
-        HELANConfig(in_channels=4, out_channels=4, hidden=2, n_bottlenecks=0)
+def test_neck_config_rejects_zero_depth():
+    with pytest.raises(ConfigError, match=r"neck\.depth must be >= 1, got 0"):
+        NeckConfig(depth=0)

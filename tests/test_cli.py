@@ -249,6 +249,17 @@ def test_degenerate_counts_exit_2(capsys, argv):
         ({"neck": {"saf_ratio": "half"}}, "saf_ratio"),
         ({"neck": {"saf_ratio": 0.005}}, "saf_ratio"),
         ({"neck": {"enable_saf": 0}}, "enable_saf"),
+        # out-of-range block values name their JSON field (json reads NaN/Infinity)
+        ({"neck": {"depth": 0}}, "neck.depth"),
+        ({"neck": {"kernels": [4, 7, 9]}}, "neck.kernels"),
+        ({"backbone_kernels": [1, 3, 5, 7]}, "config: backbone_kernels"),
+        ({"neck": {"widths": [1, 1, 1]}}, "neck.widths"),
+        ({"expansion": 0.5}, "config: expansion"),
+        ({"expansion": float("nan")}, "config: expansion"),
+        ({"expansion": float("inf")}, "config: expansion"),
+        ({"expansion": -float("inf")}, "config: expansion"),
+        ({"neck": {"expansion": float("nan")}}, "neck.expansion"),
+        ({"neck": {"expansion": float("inf")}}, "neck.expansion"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
 )

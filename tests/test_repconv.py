@@ -109,8 +109,8 @@ def test_pad_kernel_centers():
 # forward paths
 # ---------------------------------------------------------------------------
 
-def _identity_unit(channels, kernel, smalls):
-    u = RepHDWConv(channels, kernel, small_kernels=smalls, rng=rng(0))
+def _identity_unit(channels, kernel, use_rep):
+    u = RepHDWConv(channels, kernel, use_rep, rng=rng(0))
     for k in u.branch_kernels:
         conv = getattr(u, f"conv{k}")
         conv.weight.data = dirac_depthwise(channels, k)
@@ -119,7 +119,7 @@ def _identity_unit(channels, kernel, smalls):
 
 
 def test_single_branch_dirac_is_identity():
-    u = _identity_unit(3, 3, [])
+    u = _identity_unit(3, 3, use_rep=False)
     u.eval()
     x = Tensor(rng(1).standard_normal((1, 3, 5, 5)).astype(np.float32))
     y = u.forward_train(x)
@@ -178,7 +178,7 @@ def test_channel_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_fuse_single_branch_identity_bn():
-    u = _identity_unit(2, 5, [])
+    u = _identity_unit(2, 5, use_rep=False)
     u.eval()
     w, b = u.fuse()
     np.testing.assert_allclose(w, dirac_depthwise(2, 5), atol=1e-7)
@@ -186,15 +186,16 @@ def test_fuse_single_branch_identity_bn():
 
 
 def test_fuse_padding_placement():
-    u = RepHDWConv(2, 7, small_kernels=[3], rng=rng(0))
-    u.conv7.weight.data = np.zeros((2, 1, 7, 7), dtype=np.float32)
+    u = RepHDWConv(2, 5, rng=rng(0))
+    assert u.branch_kernels == [5, 3]
+    u.conv5.weight.data = np.zeros((2, 1, 5, 5), dtype=np.float32)
     u.conv3.weight.data = dirac_depthwise(2, 3)
-    make_identity_bn(u.bn7)
+    make_identity_bn(u.bn5)
     make_identity_bn(u.bn3)
     u.eval()
     w, b = u.fuse()
-    expect = np.zeros((2, 1, 7, 7), dtype=np.float32)
-    expect[:, 0, 3, 3] = 1.0
+    expect = np.zeros((2, 1, 5, 5), dtype=np.float32)
+    expect[:, 0, 2, 2] = 1.0
     np.testing.assert_allclose(w, expect, atol=1e-7)
     np.testing.assert_allclose(b, 0.0, atol=1e-7)
 
@@ -284,10 +285,8 @@ def test_parameter_count_identity_after_fusion():
     "kwargs",
     [
         dict(channels=4, kernel=4),
-        dict(channels=4, kernel=7, small_kernels=[4]),
-        dict(channels=4, kernel=7, small_kernels=[7]),
-        dict(channels=4, kernel=7, small_kernels=[3, 3]),
-        dict(channels=4, kernel=7, small_kernels=[3, 5]),
+        dict(channels=4, kernel=4, use_rep=False),
+        dict(channels=4, kernel=1, use_rep=False),
     ],
 )
 def test_constructor_validation(kwargs):
