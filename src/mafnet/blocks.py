@@ -5,7 +5,7 @@ heterogeneous) depthwise conv, and shrinks back with a second 1x1 conv. The
 RepHELAN block splits its stem output into a pass-through lane and a chain
 of bottlenecks; with the aggregation mechanism on, every intermediate chain
 output is retained and concatenated before the transition conv. Blocks take
-their toggles from a model or neck config, which checks its values here once.
+their toggles from a model or neck config, whose values CONFIG_RULES checks.
 """
 
 from __future__ import annotations
@@ -20,25 +20,52 @@ from .modules import BatchNorm2d, Conv2d, Module, ModuleList
 from .repconv import RepHDWConv
 
 
-def check_block_rules(cfg, prefix: str, widths: str, kernels: str, depths: str) -> None:
-    """Reject values no block can be built from, naming the JSON field (prefix +
-    the cfg field named by `widths`, `kernels` or `depths`, or expansion). A
-    block of width w has hidden width w // 2, which expansion must not shrink."""
-    for name, rule, ok in (
-        (widths, "must all be >= 2", lambda v: v >= 2),
-        (kernels, "must all be odd and >= 3", lambda v: v >= 3 and v % 2),
-        (depths, "must be >= 1", lambda v: v >= 1),
-    ):
-        values = getattr(cfg, name)
-        if not all(map(ok, values if isinstance(values, list) else [values])):
-            raise ConfigError(f"model config: {prefix}{name} {rule}, got {values}")
+# Value rules per JSON config field: (list length or None, rule that each value
+# must meet, its test). ModelConfig and NeckConfig check the rows of the fields
+# they have and share the `expansion` row. The caps on channel counts and on
+# expansion keep a config from asking for more memory than exists.
+MAX_CHANNELS, MAX_EXPANSION = 4096, 16
+_CHANNELS = (f"in [1, {MAX_CHANNELS}]", lambda v: 1 <= v <= MAX_CHANNELS)
+_KERNEL = ("odd and >= 3", lambda v: v >= 3 and v % 2 == 1)
+CONFIG_RULES = {
+    "stem_width": (None, *_CHANNELS),
+    "stage_widths": (4, f"even and in [2, {MAX_CHANNELS}]",
+                     lambda v: 2 <= v <= MAX_CHANNELS and v % 2 == 0),
+    "stage_depths": (4, ">= 1", lambda v: v >= 1),
+    "backbone_kernels": (4, *_KERNEL),
+    "expansion": (None, f"finite and <= {MAX_EXPANSION}",
+                  lambda v: math.isfinite(v) and v <= MAX_EXPANSION),
+    "head_width": (None, *_CHANNELS),
+    "head_out_channels": (None, *_CHANNELS),
+    "in_channels": (None, *_CHANNELS),
+    "seed": (None, ">= 0", lambda v: v >= 0),
+    "widths": (3, f"in [2, {MAX_CHANNELS}]", lambda v: 2 <= v <= MAX_CHANNELS),
+    "kernels": (3, *_KERNEL),
+    "depth": (None, ">= 1", lambda v: v >= 1),
+    "saf_ratio": (None, "in (0, 1]", lambda v: 0 < v <= 1),
+}
+
+
+def check_config(cfg, prefix: str, widths_field: str) -> None:
+    """Check the CONFIG_RULES rows of the fields `cfg` has, then the two
+    cross-field rules. A block of width w (in `widths_field`) has hidden width
+    w // 2, which expansion must not shrink."""
+    def fail(name, rule, value):
+        raise ConfigError(f"model config: {prefix}{name} {rule}, got {value}")
+
+    for name, (length, rule, ok) in CONFIG_RULES.items():
+        if hasattr(cfg, name):
+            value = getattr(cfg, name)
+            shape = f"list {length} values, each" if length else "be"
+            if not (len(value) == length and all(map(ok, value)) if length else ok(value)):
+                fail(name, f"must {shape} {rule}", value)
+    ks = getattr(cfg, "backbone_kernels", [])
+    if ks != sorted(set(ks)):
+        fail("backbone_kernels", "must strictly increase", ks)
     e = cfg.expansion
-    if not math.isfinite(e):
-        raise ConfigError(f"model config: {prefix}expansion must be finite, got {e}")
-    for h in (w // 2 for w in getattr(cfg, widths)):
+    for h in (w // 2 for w in getattr(cfg, widths_field)):
         if round(h * e) < h:
-            raise ConfigError(
-                f"model config: {prefix}expansion {e} shrinks a hidden width {h} to {round(h * e)}")
+            fail("expansion", f"must not shrink hidden width {h} to {round(h * e)}", e)
 
 
 class Bottleneck(Module):

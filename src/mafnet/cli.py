@@ -215,6 +215,9 @@ def cmd_erf(args) -> int:
 def cmd_toy_train(args) -> int:
     if args.size < 1 or args.size % 32:
         raise ConfigError(f"toy-train: --size must be a positive multiple of 32, got {args.size}")
+    if not math.isfinite(args.lr):
+        # a usage error, not a divergence for a training step to report (exit 3)
+        raise ConfigError(f"toy-train: --lr must be finite, got {args.lr}")
     cfg = toy_config(seed=args.seed)
     ds = make_blob_dataset(n=args.samples, size=args.size, seed=args.seed)
     model = ToyClassifier(cfg)

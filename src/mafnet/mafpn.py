@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .blocks import RepHELAN, check_block_rules
+from .blocks import RepHELAN, check_config
 from .errors import ConfigError, ShapeError
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module
 from .tensor import Tensor
@@ -40,13 +40,7 @@ class NeckConfig:
     use_large: bool = True
 
     def __post_init__(self):
-        if len(self.widths) != 3:
-            raise ConfigError(f"NeckConfig: widths must list three widths, got {self.widths}")
-        if len(self.kernels) != 3:
-            raise ConfigError(f"NeckConfig: kernels must list three sizes, got {self.kernels}")
-        if not 0.0 < self.saf_ratio <= 1.0:
-            raise ConfigError(f"NeckConfig: saf_ratio must be in (0,1], got {self.saf_ratio}")
-        check_block_rules(self, "neck.", "widths", "kernels", "depth")
+        check_config(self, "neck.", "widths")
 
 
 BACKBONE_TAPS = ("P2", "P3", "P4", "P5")
@@ -204,7 +198,7 @@ class MAFPN(Module):
                 assist = round(cfg.saf_ratio * ch[lanes[kinds.index("same")][0]])
                 if saf and "assist-down" in kinds and assist < 1:
                     raise ConfigError(
-                        f"NeckConfig: saf_ratio {cfg.saf_ratio} leaves node {node} "
+                        f"model config: neck.saf_ratio {cfg.saf_ratio} leaves node {node} "
                         f"a 0-channel assist lane")
                 spec = []
                 for s, kind in lanes:

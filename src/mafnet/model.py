@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .blocks import RepHELAN, check_block_rules
+from .blocks import RepHELAN, check_config
 from .errors import ConfigError, ShapeError
 from .mafpn import MAFPN, NeckConfig
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module, ModuleList
@@ -41,33 +41,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.stage_widths) != 4:
-            raise ConfigError(
-                f"ModelConfig.stage_widths: need exactly 4 stages, got {len(self.stage_widths)}"
-            )
-        if len(self.stage_depths) != 4:
-            raise ConfigError(
-                f"ModelConfig.stage_depths: need exactly 4 stages, got {len(self.stage_depths)}"
-            )
-        if len(self.backbone_kernels) != 4:
-            raise ConfigError(
-                f"ModelConfig.backbone_kernels: need exactly 4 kernels, got {self.backbone_kernels}"
-            )
-        ks = self.backbone_kernels
-        if sorted(ks) != ks or len(set(ks)) != 4:
-            raise ConfigError(
-                f"ModelConfig.backbone_kernels: must be strictly increasing, got {ks}"
-            )
-        for name in ("stem_width", "head_width", "head_out_channels", "in_channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"ModelConfig.{name}: must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"ModelConfig.seed: must be >= 0, got {self.seed}")
-        if any(w % 2 for w in self.stage_widths):
-            raise ConfigError(
-                f"ModelConfig.stage_widths: must be even, got {self.stage_widths}"
-            )
-        check_block_rules(self, "", "stage_widths", "backbone_kernels", "stage_depths")
+        check_config(self, "", "stage_widths")
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:

@@ -184,6 +184,9 @@ class Conv2d(Module):
         init_std: float | None = None,
     ):
         super().__init__()
+        if min(in_channels, out_channels) < 1:
+            raise ConfigError(
+                f"Conv2d: channel counts must be >= 1, got {in_channels} in, {out_channels} out")
         self.in_channels, self.out_channels = in_channels, out_channels
         self.kernel, self.stride, self.groups = kernel, stride, groups
         rng = rng or np.random.default_rng(0)

@@ -192,3 +192,11 @@ def test_inventory_toggle_semantics():
 def test_neck_config_rejects_zero_depth():
     with pytest.raises(ConfigError, match=r"neck\.depth must be >= 1, got 0"):
         NeckConfig(depth=0)
+
+
+def test_zero_width_blocks_raise_config_error():
+    # configs reject these widths; direct constructions reach Conv2d's own check
+    with pytest.raises(ConfigError, match="Conv2d: channel counts must be >= 1, got 0 in"):
+        Bottleneck(0, 5)
+    with pytest.raises(ConfigError, match="Conv2d: channel counts must be >= 1, got 4 in, 0 out"):
+        RepHELAN(4, 1, 1, 5, NeckConfig(), rng(0))

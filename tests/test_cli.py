@@ -212,6 +212,7 @@ def test_ablate_unknown_preset_exits_2(capsys):
         ["toy-train", "--steps", "1", "--samples", "0"],
         ["toy-train", "--steps", "1", "--samples", "-1"],
         *(["toy-train", "--steps", "1", "--size", s] for s in ["0", "8", "12", "16", "24", "33"]),
+        *(["toy-train", "--steps", "1", "--lr", lr] for lr in ["nan", "inf"]),
         ["verify-fuse", "--trials", "0"],
         ["verify-fuse", "--trials", "-1"],
         ["verify-fuse", "--trials", "0", "--mode", "model"],
@@ -260,6 +261,13 @@ def test_degenerate_counts_exit_2(capsys, argv):
         ({"expansion": -float("inf")}, "config: expansion"),
         ({"neck": {"expansion": float("nan")}}, "neck.expansion"),
         ({"neck": {"expansion": float("inf")}}, "neck.expansion"),
+        # channel counts and expansions are capped before numpy allocates anything
+        ({"stage_widths": [32, 64, 128, 100000000]}, "config: stage_widths"),
+        ({"neck": {"widths": [96, 192, 4097]}}, "neck.widths"),
+        ({"head_out_channels": 4097}, "config: head_out_channels"),
+        ({"expansion": 1e12}, "config: expansion"),
+        ({"neck": {"expansion": 16.5}}, "neck.expansion"),
+        ({"stage_depths": [2, 4, 4]}, "config: stage_depths"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
 )

@@ -1,7 +1,8 @@
 """Property tests over toy-scale JSON model configs.
 
-A dict with one field set to a bad value must raise a ConfigError that names
-that field, and nothing else; a valid dict must build, and its cost rows must
+A dict with one field set to a bad value (out of range, above a cap or a list
+of the wrong length) must raise a ConfigError that names that field's JSON
+path, and nothing else; a valid dict must build, and its cost rows must
 describe the shapes a real forward produces.
 """
 
@@ -59,9 +60,12 @@ def valid_configs(draw):
 
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-# every expansion below 1/2 shrinks every hidden width, even a width of 1
-_SHRINKING = st.one_of(_NON_FINITE, st.floats(-4.0, 0.49), st.integers(-3, 0))
+# every expansion below 1/2 shrinks every hidden width, even a width of 1,
+# and expansions are capped at 16
+_BAD_EXPANSION = st.one_of(_NON_FINITE, st.floats(-4.0, 0.49), st.integers(-3, 0),
+                           st.floats(16.01, 1e12), st.integers(17, 10**9))
 _EVEN_OR_SMALL = st.one_of(st.integers(-9, 2), st.integers(2, 6).map(lambda i: 2 * i))
+_ABOVE_CAP = st.integers(4097, 10**9)  # channel counts are capped at 4096
 
 
 def _one_bad(values, bad):
@@ -69,20 +73,30 @@ def _one_bad(values, bad):
         lambda ib: values[: ib[0]] + [ib[1]] + values[ib[0] + 1:])
 
 
+def _bad_list(values, bad):
+    """One bad value, or the valid values cycled to any other length in 0..8."""
+    lengths = st.integers(0, 8).filter(lambda n: n != len(values))
+    return st.one_of(_one_bad(values, bad), lengths.map(lambda n: (values * 3)[:n]))
+
+
+_BAD_CHANNELS = st.one_of(st.integers(-4, 0), _ABOVE_CAP)
+
 # JSON field path -> strategy for a bad value, given the valid dict's value
 _BAD = {
-    ("stem_width",): lambda v: st.integers(-4, 0),
-    ("head_width",): lambda v: st.integers(-4, 0),
-    ("in_channels",): lambda v: st.integers(-4, 0),
+    ("stem_width",): lambda v: _BAD_CHANNELS,
+    ("head_width",): lambda v: _BAD_CHANNELS,
+    ("head_out_channels",): lambda v: _BAD_CHANNELS,
+    ("in_channels",): lambda v: _BAD_CHANNELS,
     ("seed",): lambda v: st.integers(-5, -1),
-    ("stage_widths",): lambda v: _one_bad(v, st.one_of(st.integers(-6, 1), _odd(3, 15))),
-    ("stage_depths",): lambda v: _one_bad(v, st.integers(-3, 0)),
-    ("backbone_kernels",): lambda v: _one_bad(v, _EVEN_OR_SMALL),
-    ("expansion",): lambda v: _SHRINKING,
-    ("neck", "widths"): lambda v: _one_bad(v, st.integers(-6, 1)),
-    ("neck", "kernels"): lambda v: _one_bad(v, _EVEN_OR_SMALL),
+    ("stage_widths",): lambda v: _bad_list(
+        v, st.one_of(st.integers(-6, 1), _odd(3, 15), _ABOVE_CAP.map(lambda i: 2 * i))),
+    ("stage_depths",): lambda v: _bad_list(v, st.integers(-3, 0)),
+    ("backbone_kernels",): lambda v: _bad_list(v, _EVEN_OR_SMALL),
+    ("expansion",): lambda v: _BAD_EXPANSION,
+    ("neck", "widths"): lambda v: _bad_list(v, st.one_of(st.integers(-6, 1), _ABOVE_CAP)),
+    ("neck", "kernels"): lambda v: _bad_list(v, _EVEN_OR_SMALL),
     ("neck", "depth"): lambda v: st.integers(-3, 0),
-    ("neck", "expansion"): lambda v: _SHRINKING,
+    ("neck", "expansion"): lambda v: _BAD_EXPANSION,
     ("neck", "saf_ratio"): lambda v: st.one_of(
         _NON_FINITE, st.floats(-1.0, 0.0), st.floats(1.01, 9.0)),
 }
@@ -104,9 +118,8 @@ def test_one_bad_field_raises_config_error_naming_it(case):
     with pytest.raises(ConfigError) as e:
         config_from_dict(d)
     msg = str(e.value)
-    assert path[-1] in msg
-    if path[0] == "neck":
-        assert "neck" in msg.lower()
+    # the full JSON path, neck.<field> for neck fields
+    assert msg.startswith(f"model config: {'.'.join(path)} ")
     assert not re.search("HELAN|Bottleneck", msg)  # no internal class names
 
 
