@@ -20,7 +20,7 @@ from .blocks import RepHELAN, check_config
 from .errors import ConfigError, ShapeError
 from .mafpn import MAFPN, NeckConfig
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module, ModuleList
-from .repconv import RepHDWConv
+from .repconv import RepHDWConv, prepare_dense_convs
 from .tensor import Tensor, no_grad
 
 
@@ -241,12 +241,18 @@ def calibrate_bn_stats(
 
 
 def fuse_model(model: Model) -> int:
-    """Fuse every reparameterized depthwise unit; returns the unit count."""
+    """Ready the model for the deploy path; returns the RepHDW unit count.
+
+    Every reparameterized depthwise unit merges its branches into one stored
+    kernel. Every other (dense) conv folds the batch norm that follows it and
+    runs as one GEMM, per call, so no folded weight is stored.
+    """
     n = 0
     for m in model.modules():
         if isinstance(m, RepHDWConv):
             m.fuse()
             n += 1
+    prepare_dense_convs(model)
     return n
 
 

@@ -45,6 +45,42 @@ class BatchNormParams:
         return self.gamma.shape[0]
 
 
+def fold_bn(weight: np.ndarray, bn: BatchNormParams) -> tuple[np.ndarray, np.ndarray]:
+    """Fold inference-mode batch norm into the preceding convolution.
+
+    Returns (weight', bias') with weight'[c] = weight[c] * gamma[c]/sqrt(var[c]+eps)
+    and bias'[c] = beta[c] - gamma[c]*mean[c]/sqrt(var[c]+eps), so that
+    conv(x, weight') + bias' == bn(conv(x, weight)) in exact arithmetic.
+    """
+    if weight.ndim != 4:
+        raise ShapeError(f"fold_bn: weight must be 4-D, got {weight.shape}")
+    if weight.shape[0] != bn.channels:
+        raise ShapeError(
+            f"fold_bn: weight has {weight.shape[0]} output channels, bn has {bn.channels}"
+        )
+    istd = 1.0 / np.sqrt(bn.running_var.astype(weight.dtype) + weight.dtype.type(bn.eps))
+    scale = bn.gamma.astype(weight.dtype) * istd
+    w = weight * scale[:, None, None, None]
+    b = bn.beta.astype(weight.dtype) - bn.gamma.astype(weight.dtype) * bn.running_mean.astype(
+        weight.dtype
+    ) * istd
+    return w, b
+
+
+def runs_deploy(m: "Module") -> bool:
+    """Whether a fused layer runs its deploy form now: in eval mode and outside
+    `branch_path()`. `RepHDWConv.runs_fused` reads it; dense convs read it
+    through `runs_folded`."""
+    return not m.training and not RUNTIME.branch_path
+
+
+def runs_folded(m: "Module") -> bool:
+    """Whether a dense conv that fuse prepared, and the batch norm folded into
+    it, run the deploy GEMM now: on the deploy path and with the tape off,
+    since that op has no backward."""
+    return runs_deploy(m) and not RUNTIME.grad
+
+
 class Module:
     """Base class: tracks parameters, buffers and child modules in order."""
 
@@ -197,13 +233,32 @@ class Conv2d(Module):
         self.bias = (
             Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
         )
+        self.deploy = False
+        self.folded_bn = None
+
+    def set_deploy(self, bn: "BatchNorm2d | None") -> None:
+        """Run this dense conv as one GEMM on the deploy path, with `bn` (the
+        batch norm its output feeds, or None) folded in on every call. `bn`
+        stays a plain reference, so it adds no child and no state entry."""
+        if bn is not None and self.bias is not None:
+            raise ConfigError("Conv2d: only a conv without a bias folds a batch norm")
+        object.__setattr__(self, "folded_bn", bn)
+        self.deploy = True
+        if bn is not None:
+            bn.folded = True
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"Conv2d: input has {x.shape[1]} channels, layer expects {self.in_channels}"
             )
-        return ops.conv2d(x, self.weight, self.bias, self.stride, groups=self.groups)
+        if not (self.deploy and runs_folded(self)):
+            return ops.conv2d(x, self.weight, self.bias, self.stride, groups=self.groups)
+        w, b = self.weight, self.bias
+        if self.folded_bn is not None:
+            # folded per call, so nothing derived from the weights is stored
+            w, b = (Tensor(a) for a in fold_bn(w.data, self.folded_bn.bn_params()))
+        return ops.conv2d_gemm(x, w, b, self.stride)
 
 
 class BatchNorm2d(Module):
@@ -222,8 +277,11 @@ class BatchNorm2d(Module):
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
+        self.folded = False
 
     def forward(self, x):
+        if self.folded and runs_folded(self):
+            return x  # the conv that produced x applied this norm
         if self.training:
             y, mu, var = ops.batchnorm_train(x, self.gamma, self.beta, self.eps)
             m = self.momentum

@@ -10,17 +10,18 @@ and dw reduces gy against each window. Only the per-tap channel mix depends
 on the kind: a depthwise tap is a per-channel scale, a dense tap one
 tensordot (BLAS). Memory stays flat at one window per tap. The depthwise
 forward walks the same taps over flattened rows instead (`_depthwise_rows`),
-which gives the same bits in far fewer, longer loops.
-Gradients are exact; everything here passes the central finite-difference
-checker.
+which gives the same bits in far fewer, longer loops. The deploy path runs
+dense convs through `conv2d_gemm`, one GEMM per call and no backward.
+Gradients are exact; everything else here passes the central
+finite-difference checker.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor, make_op_output
+from .errors import AutogradError, ConfigError, ShapeError
+from .tensor import RUNTIME, Tensor, make_op_output
 
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
@@ -204,6 +205,45 @@ def conv2d(
     return make_op_output(out, parents, backward, "conv2d")
 
 
+def conv2d_gemm(
+    x: Tensor,
+    w: Tensor,
+    bias: Tensor | None = None,
+    stride: int = 1,
+    padding: int | None = None,
+) -> Tensor:
+    """Forward-only dense conv for the deploy path: a 1x1 conv is W @ X per
+    image, a k x k conv one GEMM over the im2col matrix. It matches conv2d to
+    rounding, not bit for bit (BLAS sums in another order), and has no
+    backward."""
+    if padding is None:
+        padding = w.shape[2] // 2
+    out_c, k, ho, wo = _validate_conv(x, w, stride, padding, 1)
+    _require_same_dtype("conv2d_gemm", x.data, w.data)
+    if bias is not None:
+        if bias.shape != (out_c,):
+            raise ShapeError(f"conv2d_gemm: bias shape {bias.shape} != ({out_c},)")
+        _require_same_dtype("conv2d_gemm", x.data, bias.data)
+    xd = x.data
+    b, cin = xd.shape[:2]
+    if k == 1 and padding == 0:
+        cols = xd[:, :, ::stride, ::stride]
+    else:
+        xp = _pad_hw(xd, padding)
+        cols = np.empty((b, cin, k, k, ho, wo), dtype=xd.dtype)
+        for i, j, win in _taps(k, stride, ho, wo):
+            cols[:, :, i, j] = xp[win]
+    out = np.matmul(w.data.reshape(out_c, -1), cols.reshape(b, cin * k * k, ho * wo))
+    if bias is not None:
+        out += bias.data[:, None]
+
+    def backward(gy):
+        raise AutogradError("conv2d_gemm: forward-only op; run conv2d to record a backward")
+
+    return make_op_output(out.reshape(b, out_c, ho, wo), (x, w) if bias is None else (x, w, bias),
+                          backward, "conv2d_gemm")
+
+
 # ---------------------------------------------------------------------------
 # batch normalization
 # ---------------------------------------------------------------------------
@@ -292,16 +332,23 @@ def batchnorm_train(
 # ---------------------------------------------------------------------------
 
 def _sigmoid(xd: np.ndarray) -> np.ndarray:
-    # Both exp arguments are <= 0, so nothing overflows: x >= 0 gives
-    # 1 / (1 + exp(-x)) and x < 0 gives exp(x) / (1 + exp(x)), the same
-    # operations per element as evaluating each sign on its own mask.
-    return np.exp(np.minimum(xd, 0)) / (1.0 + np.exp(-np.abs(xd)))
+    # One exp, of -|x| <= 0, so nothing overflows. With e = exp(-|x|), x >= 0
+    # gives 1 / (1 + e) and x < 0 gives e / (1 + e) = exp(x) / (1 + exp(x)):
+    # the same operations per element as evaluating each sign on its own mask.
+    e = np.abs(xd)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.maximum(e, xd >= 0, out=e)
+    return np.divide(e, den, out=e)
 
 
 def silu(x: Tensor) -> Tensor:
     """y = x * sigmoid(x), element-wise."""
     s = _sigmoid(x.data)
-    out = x.data * s
+    # without a tape entry no backward reads s, so the product can overwrite it
+    records = RUNTIME.grad and x.requires_grad
+    out = np.multiply(x.data, s, out=None if records else s)
 
     def backward(gy):
         if x.requires_grad:

@@ -13,13 +13,14 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .modules import BatchNorm2d, BatchNormParams, Conv2d, Module
-from .tensor import RUNTIME, Tensor, no_grad, using
+from .modules import BatchNorm2d, Conv2d, Module, fold_bn, runs_deploy
+from .tensor import Tensor, no_grad, using
 
 
 def branch_path():
-    """Force the training-time branch forward on fused units inside the block,
-    to compare both paths on one model without unfusing it."""
+    """Run a fused model unfused inside the block: RepHDW units their branches,
+    dense convs unfolded before their batch norms. Compares both paths on one
+    model without unfusing it."""
     return using(branch_path=True)
 
 
@@ -31,28 +32,6 @@ def default_small_kernels(large: int) -> list[int]:
     if large < 3 or large % 2 == 0:
         raise ConfigError(f"large kernel must be odd and >= 3, got {large}")
     return list(range(large - 2, 2, -2))
-
-
-def fold_bn(weight: np.ndarray, bn: BatchNormParams) -> tuple[np.ndarray, np.ndarray]:
-    """Fold inference-mode batch norm into the preceding convolution.
-
-    Returns (weight', bias') with weight'[c] = weight[c] * gamma[c]/sqrt(var[c]+eps)
-    and bias'[c] = beta[c] - gamma[c]*mean[c]/sqrt(var[c]+eps), so that
-    conv(x, weight') + bias' == bn(conv(x, weight)) in exact arithmetic.
-    """
-    if weight.ndim != 4:
-        raise ShapeError(f"fold_bn: weight must be 4-D, got {weight.shape}")
-    if weight.shape[0] != bn.channels:
-        raise ShapeError(
-            f"fold_bn: weight has {weight.shape[0]} output channels, bn has {bn.channels}"
-        )
-    istd = 1.0 / np.sqrt(bn.running_var.astype(weight.dtype) + weight.dtype.type(bn.eps))
-    scale = bn.gamma.astype(weight.dtype) * istd
-    w = weight * scale[:, None, None, None]
-    b = bn.beta.astype(weight.dtype) - bn.gamma.astype(weight.dtype) * bn.running_mean.astype(
-        weight.dtype
-    ) * istd
-    return w, b
 
 
 def pad_kernel_to(weight: np.ndarray, target: int) -> np.ndarray:
@@ -141,7 +120,7 @@ class RepHDWConv(Module):
     def runs_fused(self) -> bool:
         """Whether a forward runs the merged kernel: fused, in eval mode and
         not inside `branch_path()`."""
-        return self._fused and not self.training and not RUNTIME.branch_path
+        return self._fused and runs_deploy(self)
 
     def fuse(self) -> tuple[np.ndarray, np.ndarray]:
         """Merge all branches into a single (C,1,K,K) kernel and bias vector.
@@ -175,6 +154,23 @@ class RepHDWConv(Module):
             self.register_buffer("fused_weight", w)
             self.register_buffer("fused_bias", b)
             self._fused = True
+
+
+def prepare_dense_convs(module: Module) -> int:
+    """Set every dense Conv2d outside a RepHDW unit to run as one GEMM on the
+    deploy path, folding in the BatchNorm2d registered right after it in the
+    same parent, where one exists. Returns the conv count."""
+    n = 0
+    for m in module.modules():
+        if isinstance(m, RepHDWConv):
+            continue
+        kids = list(m._children.values())
+        for conv, nxt in zip(kids, kids[1:] + [None]):
+            if isinstance(conv, Conv2d) and conv.groups == 1:
+                fold = isinstance(nxt, BatchNorm2d) and conv.bias is None
+                conv.set_deploy(nxt if fold else None)
+                n += 1
+    return n
 
 
 def randomize_bn_stats(module: Module, rng: np.random.Generator) -> None:

@@ -8,7 +8,8 @@ Layout (all integers unsigned 32-bit little-endian):
 dtype codes: 0 = float32, 1 = float64; payloads are raw little-endian.
 Entries follow the deterministic module walk (per module: parameters, then
 buffers), so save -> load -> save is byte-identical. Fused kernels are
-stored when present and restore the fused state on load.
+stored when present and restore the fused state on load, dense convs
+included (their folds are recomputed per call, never stored).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import SerializationError
 from .modules import Module
-from .repconv import RepHDWConv
+from .repconv import RepHDWConv, prepare_dense_convs
 
 MAGIC = b"MAFW"
 VERSION = 1
@@ -142,6 +143,9 @@ def load_weights(model: Module, path: str) -> None:
                 f"module {mod_path!r}: fused weight entries are incomplete"
             )
         module_by_path[mod_path]._set_fused(parts["fused_weight"], parts["fused_bias"])
+    if pending_fused:
+        # a fused model also runs its dense convs folded; that state is not stored
+        prepare_dense_convs(model)
     missing = [n for n, _ in model.state_entries() if n not in loaded]
     if missing:
         raise SerializationError(f"weight file is missing entries: {missing[:5]}")

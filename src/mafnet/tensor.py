@@ -20,7 +20,7 @@ from .errors import AutogradError, NumericalError
 class Runtime:
     """Process-wide switches, changed for a block with `using()`: NaN/Inf checks
     on op outputs (`checked`, off when MAF_CHECKED=0), tape recording (`grad`),
-    the branch forward on fused RepHDWConv units (`branch_path`), a hook run as
+    the unfused eval forward on a fused model (`branch_path`), a hook run as
     `observer(module, output)` after every Module call, and `op_counts`."""
 
     def __init__(self):

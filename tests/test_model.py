@@ -6,14 +6,18 @@ import pytest
 
 from mafnet import (
     ConfigError,
+    Conv2d,
     RepHDWConv,
     SerializationError,
     ShapeError,
     Tensor,
     build_model,
+    calibrate_bn_stats,
     config_from_dict,
     config_to_dict,
+    count_costs,
     count_ops,
+    erf_map,
     fuse_model,
     ghks_kernels,
     load_config,
@@ -21,11 +25,14 @@ from mafnet import (
     nano_config,
     no_grad,
     read_entries,
+    rep_units,
     save_config,
     save_weights,
     toy_config,
 )
+from mafnet.cli import ABLATIONS, _ablation_config
 from mafnet.model import ModelConfig
+from mafnet.repconv import branch_path
 from mafnet.serialize import MAGIC
 
 rng = np.random.default_rng
@@ -82,7 +89,9 @@ def test_forward_requires_divisible_input():
 
 def test_fused_nano_forward_op_mix():
     # Structural gate on the deploy path: a per-kind op count does not drift
-    # with machine load the way wall time does.
+    # with machine load the way wall time does. The 28 RepHDW units run one
+    # depthwise conv2d each; the 90 dense convs run as GEMMs, folding all 78
+    # batch norms.
     model = build_model(nano_config())
     model.eval()
     fuse_model(model)
@@ -91,13 +100,72 @@ def test_fused_nano_forward_op_mix():
         with no_grad():
             model(x)
     assert counts == {
-        "conv2d": 118,
+        "conv2d": 28,
+        "conv2d_gemm": 90,
         "silu": 84,
-        "batchnorm_infer": 78,
         "split_channels": 18,
         "concat_channels": 14,
         "upsample_nearest2x": 4,
     }
+
+
+# c02's setting at 320; at 640 one calibration batch, as the deploy benchmark uses
+@pytest.mark.parametrize("size, batches", [(320, 4), (640, 1)])
+def test_fused_forward_matches_branch_path(size, batches):
+    model = build_model(nano_config())
+    calibrate_bn_stats(model, rng(1), input_shape=(1, 3, size, size), batches=batches)
+    model.eval()
+    fuse_model(model)
+    x = Tensor(rng(2).standard_normal((1, 3, size, size)).astype(np.float32))
+    with no_grad():
+        fused = model(x)
+        with branch_path():
+            branch = model(x)
+    dev = max(float(np.abs(fused[k].data - branch[k].data).max()) for k in fused)
+    print(f"\n{size}x{size}: max |fused - branch| {dev:.2e} (tol 1e-3)")
+    assert dev <= 1e-3
+
+
+@pytest.mark.parametrize("off", [off for *_, off in ABLATIONS],
+                         ids=[f"{p}-{label}" for p, label, _ in ABLATIONS])
+def test_fused_ablation_forward_folds_every_batch_norm(off):
+    model = build_model(_ablation_config(off, 0))
+    model.eval()
+    fuse_model(model)
+    with count_ops() as counts, no_grad():
+        model(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
+    dense = sum(isinstance(m, Conv2d) and m.groups == 1 for m in model.modules())
+    assert "batchnorm_infer" not in counts
+    assert counts["conv2d_gemm"] == dense
+
+
+def test_fuse_model_adds_only_rephdw_state_and_keeps_costs():
+    model = build_model(toy_config(seed=2))
+    model.eval()
+    names = [n for n, _ in model.state_entries()]
+    for unit in model.modules():
+        if isinstance(unit, RepHDWConv):
+            unit.fuse()
+    units_only = count_costs(model, 64).to_dict()
+    fuse_model(model)
+    fused = [n for n, _ in model.state_entries()]
+    assert set(fused) - set(names) == {
+        f"{path}.{attr}" for path, _ in rep_units(model) for attr in ("fused_weight", "fused_bias")
+    }
+    assert count_costs(model, 64).to_dict() == units_only
+
+
+def test_fused_model_with_tape_on_runs_unfolded_ops():
+    # the deploy GEMM has no backward, so a recorded forward must not use it
+    model = build_model(toy_config(seed=3))
+    model.eval()
+    fuse_model(model)
+    x = Tensor(rng(4).standard_normal((1, 3, 64, 64)).astype(np.float32), requires_grad=True)
+    with count_ops() as counts:
+        model(x)
+    assert counts["batchnorm_infer"] > 0 and "conv2d_gemm" not in counts
+    heat = erf_map(model, "N3", x.data)
+    assert np.isfinite(heat).all() and heat.sum() == pytest.approx(1.0)
 
 
 def test_nano_output_strides_at_full_resolution():

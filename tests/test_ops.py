@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mafnet import ConfigError, ShapeError, Tensor
+from mafnet import AutogradError, ConfigError, ShapeError, Tensor
 from mafnet import ops
 
 from helpers import identity_pointwise, mask_sigmoid, naive_conv2d, windowed_depthwise
@@ -194,6 +194,47 @@ def test_conv_errors_name_offending_dim():
             Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32)),
             Tensor(np.zeros(3, dtype=np.float32)),
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    k=st.sampled_from([1, 3, 5]),
+    stride=st.sampled_from([1, 2]),
+    batch=st.integers(2, 3),
+    cin=st.integers(1, 6),
+    cout=st.integers(1, 5),
+    hw=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    pad_frac=st.floats(0, 1),
+    with_bias=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_gemm_matches_conv2d(dtype, k, stride, batch, cin, cout, hw, pad_frac,
+                                    with_bias, seed):
+    """The deploy GEMM conv agrees with conv2d within the rounding bound of an
+    n-term dot product, n = cin * k * k + 1: each side is off the exact value
+    by at most n * eps * (|w| * |x| + |b|), so they differ by at most twice that."""
+    r = rng(seed)
+    padding = round(pad_frac * (k // 2))
+    x = r.standard_normal((batch, cin, k + hw[0], k + hw[1])).astype(dtype)
+    w = r.standard_normal((cout, cin, k, k)).astype(dtype)
+    b = Tensor(r.standard_normal(cout).astype(dtype)) if with_bias else None
+    got = ops.conv2d_gemm(Tensor(x), Tensor(w), b, stride, padding)
+    ref = ops.conv2d(Tensor(x), Tensor(w), b, stride, padding)
+    assert got.dtype == dtype and got.shape == ref.shape
+    scale = ops.conv2d(Tensor(np.abs(x)), Tensor(np.abs(w)), None, stride, padding).data
+    if with_bias:
+        scale = scale + np.abs(b.data)[:, None, None]
+    n = cin * k * k + 1
+    assert np.all(np.abs(got.data - ref.data) <= 2 * n * np.finfo(dtype).eps * scale)
+
+
+def test_conv2d_gemm_is_forward_only():
+    x = Tensor(rng(3).standard_normal((1, 2, 5, 5)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng(4).standard_normal((3, 2, 3, 3)).astype(np.float32))
+    loss = ops.sum_all(ops.conv2d_gemm(x, w))
+    with pytest.raises(AutogradError, match="forward-only"):
+        loss.backward()
 
 
 # ---------------------------------------------------------------------------
