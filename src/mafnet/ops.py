@@ -38,12 +38,16 @@ def _require_same_dtype(op: str, *arrays: np.ndarray) -> None:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _validate_conv(x: Tensor, w: Tensor, stride: int, padding: int, groups: int):
+def _validate_conv(x: Tensor, w: Tensor, bias, stride: int, padding, groups: int):
+    """(padding, out_channels, k, ho, wo) of a valid conv call; `padding=None`
+    means k//2."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4-D (B,C,H,W), got {x.shape}")
     if w.ndim != 4:
         raise ShapeError(f"conv2d: weight must be 4-D (out,in/groups,k,k), got {w.shape}")
     out_c, cg, kh, kw = w.shape
+    if padding is None:
+        padding = kh // 2
     if kh != kw:
         raise ShapeError(f"conv2d: kernel must be square, got {kh}x{kw}")
     if kh % 2 == 0 or kh < 1:
@@ -68,7 +72,12 @@ def _validate_conv(x: Tensor, w: Tensor, stride: int, padding: int, groups: int)
             f"conv2d: output would be {ho}x{wo} for input {h}x{wdim}, kernel {kh}, "
             f"stride {stride}, padding {padding}"
         )
-    return out_c, kh, ho, wo
+    _require_same_dtype("conv2d", x.data, w.data)
+    if bias is not None:
+        if bias.shape != (out_c,):
+            raise ShapeError(f"conv2d: bias shape {bias.shape} != ({out_c},)")
+        _require_same_dtype("conv2d", x.data, bias.data)
+    return padding, out_c, kh, ho, wo
 
 
 def _pad_hw(a: np.ndarray, p: int) -> np.ndarray:
@@ -154,14 +163,7 @@ def conv2d(
     groups: int = 1,
 ) -> Tensor:
     """2-D cross-correlation. `padding=None` means k//2 ("same" at stride 1)."""
-    if padding is None:
-        padding = w.shape[2] // 2
-    out_c, k, ho, wo = _validate_conv(x, w, stride, padding, groups)
-    _require_same_dtype("conv2d", x.data, w.data)
-    if bias is not None:
-        if bias.shape != (out_c,):
-            raise ShapeError(f"conv2d: bias shape {bias.shape} != ({out_c},)")
-        _require_same_dtype("conv2d", x.data, bias.data)
+    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, padding, groups)
 
     xd, wd = x.data, w.data
     b, cin, h, wdim = xd.shape
@@ -216,14 +218,7 @@ def conv2d_gemm(
     image, a k x k conv one GEMM over the im2col matrix. It matches conv2d to
     rounding, not bit for bit (BLAS sums in another order), and has no
     backward."""
-    if padding is None:
-        padding = w.shape[2] // 2
-    out_c, k, ho, wo = _validate_conv(x, w, stride, padding, 1)
-    _require_same_dtype("conv2d_gemm", x.data, w.data)
-    if bias is not None:
-        if bias.shape != (out_c,):
-            raise ShapeError(f"conv2d_gemm: bias shape {bias.shape} != ({out_c},)")
-        _require_same_dtype("conv2d_gemm", x.data, bias.data)
+    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, padding, 1)
     xd = x.data
     b, cin = xd.shape[:2]
     if k == 1 and padding == 0:
