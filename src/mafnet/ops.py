@@ -38,7 +38,9 @@ def _require_same_dtype(op: str, *arrays: np.ndarray) -> None:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _validate_conv(x: Tensor, w: Tensor, bias, stride: int, padding, groups: int):
+def _validate_conv(
+    x: Tensor, w: Tensor, bias: Tensor | None, stride: int, padding: int | None, groups: int
+):
     """(padding, out_channels, k, ho, wo) of a valid conv call; `padding=None`
     means k//2."""
     if x.ndim != 4:
@@ -235,8 +237,8 @@ def conv2d_gemm(
     def backward(gy):
         raise AutogradError("conv2d_gemm: forward-only op; run conv2d to record a backward")
 
-    return make_op_output(out.reshape(b, out_c, ho, wo), (x, w) if bias is None else (x, w, bias),
-                          backward, "conv2d_gemm")
+    parents = (x, w) if bias is None else (x, w, bias)
+    return make_op_output(out.reshape(b, out_c, ho, wo), parents, backward, "conv2d_gemm")
 
 
 # ---------------------------------------------------------------------------
