@@ -68,7 +68,7 @@ from .repconv import (
     randomize_weights,
 )
 from .serialize import load_weights, read_entries, save_weights
-from .tensor import Tensor, count_ops, no_grad, set_checked, using
+from .tensor import Tensor, count_ops, no_grad, using
 from .train import (
     BlobDataset,
     SGD,

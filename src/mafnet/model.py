@@ -20,7 +20,7 @@ from .blocks import RepHELAN, check_config
 from .errors import ConfigError, ShapeError
 from .mafpn import MAFPN, NeckConfig
 from .modules import BatchNorm2d, Conv2d, ConvBN, Module, ModuleList
-from .repconv import RepHDWConv, prepare_dense_convs
+from .repconv import RepHDWConv, fuse_model  # fuse_model: also model.fuse_model
 from .tensor import Tensor, no_grad
 
 
@@ -238,22 +238,6 @@ def calibrate_bn_stats(
     finally:
         for bn, m in zip(bns, saved_momentum):
             bn.momentum = m
-
-
-def fuse_model(model: Model) -> int:
-    """Ready the model for the deploy path; returns the RepHDW unit count.
-
-    Every reparameterized depthwise unit merges its branches into one stored
-    kernel. Every other (dense) conv folds the batch norm that follows it and
-    runs as one GEMM, per call, so no folded weight is stored.
-    """
-    n = 0
-    for m in model.modules():
-        if isinstance(m, RepHDWConv):
-            m.fuse()
-            n += 1
-    prepare_dense_convs(model)
-    return n
 
 
 def rep_units(model: Module) -> list[tuple[str, RepHDWConv]]:

@@ -75,9 +75,9 @@ def runs_deploy(m: "Module") -> bool:
 
 
 def runs_folded(m: "Module") -> bool:
-    """Whether a dense conv that fuse prepared, and the batch norm folded into
-    it, run the deploy GEMM now: on the deploy path and with the tape off,
-    since that op has no backward."""
+    """Whether a dense conv that `fuse_model` prepared, and the batch norm
+    folded into it, run the deploy GEMM now: on the deploy path and with the
+    tape off, since that op has no backward."""
     return runs_deploy(m) and not RUNTIME.grad
 
 
@@ -235,17 +235,6 @@ class Conv2d(Module):
         )
         self.deploy = False
         self.folded_bn = None
-
-    def set_deploy(self, bn: "BatchNorm2d | None") -> None:
-        """Run this dense conv as one GEMM on the deploy path, with `bn` (the
-        batch norm its output feeds, or None) folded in on every call. `bn`
-        stays a plain reference, so it adds no child and no state entry."""
-        if bn is not None and self.bias is not None:
-            raise ConfigError("Conv2d: only a conv without a bias folds a batch norm")
-        object.__setattr__(self, "folded_bn", bn)
-        self.deploy = True
-        if bn is not None:
-            bn.folded = True
 
     def forward(self, x):
         if x.shape[1] != self.in_channels:

@@ -214,16 +214,15 @@ def conv2d_gemm(
     w: Tensor,
     bias: Tensor | None = None,
     stride: int = 1,
-    padding: int | None = None,
 ) -> Tensor:
-    """Forward-only dense conv for the deploy path: a 1x1 conv is W @ X per
-    image, a k x k conv one GEMM over the im2col matrix. It matches conv2d to
-    rounding, not bit for bit (BLAS sums in another order), and has no
-    backward."""
-    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, padding, 1)
+    """Forward-only dense conv for the deploy path, padded by k//2: a 1x1 conv
+    is W @ X per image, a k x k conv one GEMM over the im2col matrix. It
+    matches conv2d to rounding, not bit for bit (BLAS sums in another order),
+    and has no backward."""
+    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, None, 1)
     xd = x.data
     b, cin = xd.shape[:2]
-    if k == 1 and padding == 0:
+    if k == 1:
         cols = xd[:, :, ::stride, ::stride]
     else:
         xp = _pad_hw(xd, padding)

@@ -83,7 +83,7 @@ class RepHDWConv(Module):
             bn = BatchNorm2d(channels, dtype=dtype)
             setattr(self, f"conv{k}", conv)
             setattr(self, f"bn{k}", bn)
-        self._fused = False
+        self.fused = False
 
     # -- forwards ------------------------------------------------------------
     def _branches(self) -> list[tuple[Conv2d, BatchNorm2d]]:
@@ -100,11 +100,11 @@ class RepHDWConv(Module):
         return hetero_branch_sum(x, self._branches())
 
     def forward_fused(self, x: Tensor) -> Tensor:
-        if not self._fused:
+        if not self.fused:
             raise ConfigError("RepHDWConv: fuse() has not been called")
         w = Tensor(self.fused_weight)
         b = Tensor(self.fused_bias)
-        return ops.conv2d(x, w, b, stride=1, padding=self.kernel // 2, groups=self.channels)
+        return ops.conv2d(x, w, b, groups=self.channels)
 
     def forward(self, x: Tensor) -> Tensor:
         if self.runs_fused:
@@ -113,14 +113,10 @@ class RepHDWConv(Module):
 
     # -- reparameterization ----------------------------------------------------
     @property
-    def fused(self) -> bool:
-        return self._fused
-
-    @property
     def runs_fused(self) -> bool:
         """Whether a forward runs the merged kernel: fused, in eval mode and
         not inside `branch_path()`."""
-        return self._fused and runs_deploy(self)
+        return self.fused and runs_deploy(self)
 
     def fuse(self) -> tuple[np.ndarray, np.ndarray]:
         """Merge all branches into a single (C,1,K,K) kernel and bias vector.
@@ -143,33 +139,39 @@ class RepHDWConv(Module):
             w = pad_kernel_to(w, self.kernel)
             merged_w = w if merged_w is None else merged_w + w
             merged_b = b if merged_b is None else merged_b + b
-        self._set_fused(merged_w.astype(dtype), merged_b.astype(dtype))
+        # a second fuse replaces each entry in place, keeping the state order
+        self.register_buffer("fused_weight", merged_w.astype(dtype))
+        self.register_buffer("fused_bias", merged_b.astype(dtype))
+        self.fused = True
         return self.fused_weight, self.fused_bias
 
-    def _set_fused(self, w: np.ndarray, b: np.ndarray) -> None:
-        if self._fused:
-            self.set_buffer("fused_weight", w)
-            self.set_buffer("fused_bias", b)
-        else:
-            self.register_buffer("fused_weight", w)
-            self.register_buffer("fused_bias", b)
-            self._fused = True
 
+def fuse_model(model: Module) -> int:
+    """Ready an eval-mode model for the deploy path; returns the RepHDW unit count.
 
-def prepare_dense_convs(module: Module) -> int:
-    """Set every dense Conv2d outside a RepHDW unit to run as one GEMM on the
-    deploy path, folding in the BatchNorm2d registered right after it in the
-    same parent, where one exists. Returns the conv count."""
+    Every RepHDW unit merges its branches into one stored kernel. Every other
+    (dense) conv runs as one GEMM and folds in the BatchNorm2d registered
+    right after it in the same parent, where one exists and the conv has no
+    bias. That fold runs per call, so nothing derived from the weights is
+    stored and the model may load new weights after fusing.
+    """
+    if model.training:
+        raise ConfigError("fuse_model: requires eval mode; running statistics "
+                          "must be finalized before merging")
     n = 0
-    for m in module.modules():
+    for m in model.modules():
         if isinstance(m, RepHDWConv):
+            m.fuse()
+            n += 1
             continue
         kids = list(m._children.values())
         for conv, nxt in zip(kids, kids[1:] + [None]):
             if isinstance(conv, Conv2d) and conv.groups == 1:
-                fold = isinstance(nxt, BatchNorm2d) and conv.bias is None
-                conv.set_deploy(nxt if fold else None)
-                n += 1
+                bn = nxt if isinstance(nxt, BatchNorm2d) and conv.bias is None else None
+                conv.deploy = True
+                object.__setattr__(conv, "folded_bn", bn)  # a reference, not a child
+                if bn is not None:
+                    bn.folded = True
     return n
 
 

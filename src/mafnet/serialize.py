@@ -7,9 +7,10 @@ Layout (all integers unsigned 32-bit little-endian):
 
 dtype codes: 0 = float32, 1 = float64; payloads are raw little-endian.
 Entries follow the deterministic module walk (per module: parameters, then
-buffers), so save -> load -> save is byte-identical. Fused kernels are
-stored when present and restore the fused state on load, dense convs
-included (their folds are recomputed per call, never stored).
+buffers), so save -> load -> save is byte-identical. A fused model stores
+its RepHDW kernels (`fused_weight`, `fused_bias`) as buffers; loading such a
+file fuses the target first, then replaces those buffers like any other.
+Dense-conv folds are recomputed per call and never stored.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import SerializationError
 from .modules import Module
-from .repconv import RepHDWConv, prepare_dense_convs
+from .repconv import fuse_model
 
 MAGIC = b"MAFW"
 VERSION = 1
@@ -115,10 +116,13 @@ def _fit(name: str, arr: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 
 def load_weights(model: Module, path: str) -> None:
-    """Restore parameters, buffers and (when stored) fused kernels by name."""
+    """Restore parameters and buffers by name. A file with fused kernels is
+    loaded into the fused model, so its kernels replace `fuse_model`'s."""
     entries = read_entries(path)
+    if any(n.rpartition(".")[2] in ("fused_weight", "fused_bias") for n, _ in entries):
+        with model.mode(False):
+            fuse_model(model)
     module_by_path = dict(model.named_modules())
-    pending_fused: dict[str, dict[str, np.ndarray]] = {}
     loaded = set()
     for name, arr in entries:
         mod_path, _, attr = name.rpartition(".")
@@ -129,23 +133,9 @@ def load_weights(model: Module, path: str) -> None:
             m._params[attr].data = _fit(name, arr, m._params[attr].data)
         elif attr in m._buffers:
             m.set_buffer(attr, _fit(name, arr, m._buffers[attr]))
-        elif isinstance(m, RepHDWConv) and attr in ("fused_weight", "fused_bias"):
-            # the merged kernel has the large branch's (C,1,K,K) shape and dtype
-            large = getattr(m, f"conv{m.kernel}").weight.data
-            like = large if attr == "fused_weight" else large[:, 0, 0, 0]
-            pending_fused.setdefault(mod_path, {})[attr] = _fit(name, arr, like)
         else:
             raise SerializationError(f"weight entry {name!r} does not exist in the model")
         loaded.add(name)
-    for mod_path, parts in pending_fused.items():
-        if set(parts) != {"fused_weight", "fused_bias"}:
-            raise SerializationError(
-                f"module {mod_path!r}: fused weight entries are incomplete"
-            )
-        module_by_path[mod_path]._set_fused(parts["fused_weight"], parts["fused_bias"])
-    if pending_fused:
-        # a fused model also runs its dense convs folded; that state is not stored
-        prepare_dense_convs(model)
     missing = [n for n, _ in model.state_entries() if n not in loaded]
     if missing:
         raise SerializationError(f"weight file is missing entries: {missing[:5]}")

@@ -47,10 +47,6 @@ def using(**switches):
             setattr(RUNTIME, name, value)
 
 
-def set_checked(on: bool) -> None:
-    RUNTIME.checked = bool(on)
-
-
 def checked_enabled() -> bool:
     return RUNTIME.checked
 

@@ -5,11 +5,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mafnet import set_checked
+from mafnet import using
 
 
 @pytest.fixture(autouse=True)
 def checked_mode():
-    set_checked(True)
-    yield
-    set_checked(True)
+    with using(checked=True):
+        yield

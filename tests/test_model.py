@@ -271,6 +271,67 @@ def test_fused_state_survives_roundtrip(tmp_path):
         assert a[k].data.tobytes() == b[k].data.tobytes()
 
 
+def _calibrated_fused_toy(seed):
+    model = build_model(toy_config(seed=seed))
+    calibrate_bn_stats(model, rng(seed), input_shape=(2, 3, 64, 64), batches=2)
+    model.eval()
+    fuse_model(model)
+    return model
+
+
+def test_fused_file_loads_into_a_train_mode_model(tmp_path):
+    model = _calibrated_fused_toy(8)
+    p, q = tmp_path / "fused.mafw", tmp_path / "again.mafw"
+    save_weights(model, str(p))
+    fresh = build_model(toy_config(seed=9))
+    load_weights(fresh, str(p))
+    assert all(m.training for m in fresh.modules())
+    save_weights(fresh, str(q))
+    assert q.read_bytes() == p.read_bytes()
+    fresh.eval()
+    x = Tensor(rng(1).standard_normal((1, 3, 64, 64)).astype(np.float32))
+    with no_grad():
+        a, _ = model.forward_taps(x)
+        with count_ops() as counts:
+            b, _ = fresh.forward_taps(x)
+    assert "batchnorm_infer" not in counts
+    for k in a:
+        assert a[k].data.tobytes() == b[k].data.tobytes()
+
+
+def test_load_rejects_fused_kernels_for_only_some_units(tmp_path):
+    model = _calibrated_fused_toy(8)
+    first = rep_units(model)[0][0]
+    keep = {f"{first}.fused_weight", f"{first}.fused_bias"}
+    entries = [(n, a) for n, a in model.state_entries()
+               if n.rpartition(".")[2] not in ("fused_weight", "fused_bias") or n in keep]
+    p = tmp_path / "w.mafw"
+    _write_entries(p, entries)
+    with pytest.raises(SerializationError, match=r"missing entries: \['[\w.]+\.fused_(weight|bias)'"):
+        load_weights(build_model(toy_config(seed=9)), str(p))
+
+
+def test_fuse_model_twice_changes_nothing():
+    model = _calibrated_fused_toy(4)
+    names = [n for n, _ in model.state_entries()]
+    x = Tensor(rng(2).standard_normal((1, 3, 64, 64)).astype(np.float32))
+    with no_grad():
+        once, _ = model.forward_taps(x)
+        fuse_model(model)
+        twice, _ = model.forward_taps(x)
+    assert [n for n, _ in model.state_entries()] == names
+    for k in once:
+        assert once[k].data.tobytes() == twice[k].data.tobytes()
+
+
+def test_fuse_model_in_train_mode_changes_nothing():
+    model = build_model(toy_config(seed=4))
+    with pytest.raises(ConfigError, match="eval mode"):
+        fuse_model(model)
+    assert not any(getattr(m, "deploy", False) or getattr(m, "folded", False)
+                   or getattr(m, "fused", False) for m in model.modules())
+
+
 def test_truncated_file_reports_offset(tmp_path):
     model = build_model(toy_config(seed=10))
     p = tmp_path / "w.mafw"
@@ -374,7 +435,7 @@ def test_load_rejects_incomplete_fused_pair(tmp_path):
     entries = list(_fused_unit().state_entries())
     p = tmp_path / "w.mafw"
     _write_entries(p, [e for e in entries if e[0] != "fused_bias"])
-    with pytest.raises(SerializationError, match="fused weight entries are incomplete"):
+    with pytest.raises(SerializationError, match=r"missing entries: \['fused_bias'\]"):
         load_weights(RepHDWConv(2, 5, rng=rng(15)), str(p))
 
 

@@ -205,24 +205,22 @@ def test_conv_errors_name_offending_dim():
     cin=st.integers(1, 6),
     cout=st.integers(1, 5),
     hw=st.tuples(st.integers(0, 5), st.integers(0, 5)),
-    pad_frac=st.floats(0, 1),
     with_bias=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_conv2d_gemm_matches_conv2d(dtype, k, stride, batch, cin, cout, hw, pad_frac,
-                                    with_bias, seed):
-    """The deploy GEMM conv agrees with conv2d within the rounding bound of an
-    n-term dot product, n = cin * k * k + 1: each side is off the exact value
-    by at most n * eps * (|w| * |x| + |b|), so they differ by at most twice that."""
+def test_conv2d_gemm_matches_conv2d(dtype, k, stride, batch, cin, cout, hw, with_bias, seed):
+    """The deploy GEMM conv (always padded by k//2) agrees with conv2d within
+    the rounding bound of an n-term dot product, n = cin * k * k + 1: each side
+    is off the exact value by at most n * eps * (|w| * |x| + |b|), so they
+    differ by at most twice that."""
     r = rng(seed)
-    padding = round(pad_frac * (k // 2))
     x = r.standard_normal((batch, cin, k + hw[0], k + hw[1])).astype(dtype)
     w = r.standard_normal((cout, cin, k, k)).astype(dtype)
     b = Tensor(r.standard_normal(cout).astype(dtype)) if with_bias else None
-    got = ops.conv2d_gemm(Tensor(x), Tensor(w), b, stride, padding)
-    ref = ops.conv2d(Tensor(x), Tensor(w), b, stride, padding)
+    got = ops.conv2d_gemm(Tensor(x), Tensor(w), b, stride)
+    ref = ops.conv2d(Tensor(x), Tensor(w), b, stride)
     assert got.dtype == dtype and got.shape == ref.shape
-    scale = ops.conv2d(Tensor(np.abs(x)), Tensor(np.abs(w)), None, stride, padding).data
+    scale = ops.conv2d(Tensor(np.abs(x)), Tensor(np.abs(w)), None, stride).data
     if with_bias:
         scale = scale + np.abs(b.data)[:, None, None]
     n = cin * k * k + 1

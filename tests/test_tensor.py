@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mafnet import AutogradError, NumericalError, ShapeError, Tensor, count_ops, no_grad, set_checked
+from mafnet import AutogradError, NumericalError, ShapeError, Tensor, count_ops, no_grad, using
 from mafnet import ops
 
 
@@ -62,11 +62,10 @@ def test_count_ops_reports_call_diffs():
 
 def test_checked_mode_flags_nonfinite():
     x = Tensor(np.array([[np.inf]], dtype=np.float32).reshape(1, 1, 1, 1))
-    set_checked(True)
-    with pytest.raises(NumericalError):
+    with using(checked=True), pytest.raises(NumericalError):
         ops.silu(x)
-    set_checked(False)
-    ops.silu(x)  # unchecked mode lets it through
+    with using(checked=False):
+        ops.silu(x)  # unchecked mode lets it through
 
 
 def test_mixed_dtype_rejected():
