@@ -6,6 +6,10 @@ decomposition path. The sigmoid oracle is the original boolean-mask form of
 ``ops._sigmoid``, kept as the bitwise reference for its mask-free rewrite, and
 the windowed depthwise oracle is the original per-tap loop of the
 depthwise forward, kept as the bitwise reference for its flattened-row form.
+The tensordot tap mixes and the windowed depthwise dx scatter are the
+original bodies of ``ops._dense``, ``ops._dense_reduce`` and the depthwise
+input gradient; ``windowed_conv2d_grads`` runs them in the original tap loops
+as the bitwise reference for conv2d's forward and gradients.
 """
 
 import numpy as np
@@ -68,6 +72,71 @@ def windowed_depthwise(xd, wd, padding, stride=1):
             win = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
             out += wd[:, :, i, j].reshape(1, -1, 1, 1) * win
     return out
+
+
+def tensordot_dense(acc, a, wt):
+    """Reference dense tap mix: add to acc the contraction of a's channels
+    with the (out, in) tap matrix wt, accumulated channels-last."""
+    acc_cl = acc.transpose(0, 2, 3, 1)
+    acc_cl += np.tensordot(a, wt, axes=([1], [1]))
+
+
+def tensordot_dense_reduce(gy, xs):
+    """Reference dense tap weight gradient: (out, in) contraction of gy with
+    the tap's input window over batch and space."""
+    return np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
+
+
+def _tap_windows(k, stride, ho, wo):
+    for i in range(k):
+        for j in range(k):
+            yield i, j, (..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride))
+
+
+def scatter_depthwise_dx(gy, wd, padding, stride, h, w):
+    """Reference depthwise input gradient: for each tap in row-major order,
+    add the per-channel weight times gy into that tap's strided window of a
+    zero-initialized padded buffer, then crop the padding."""
+    b, c, ho, wo = gy.shape
+    dxp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=gy.dtype)
+    for i, j, win in _tap_windows(wd.shape[2], stride, ho, wo):
+        acc = dxp[win]
+        acc += wd[:, :, i, j].T.reshape(1, -1, 1, 1) * gy
+    return dxp[:, :, padding : padding + h, padding : padding + w]
+
+
+def windowed_conv2d_grads(x, wd, bias, stride, padding, gy):
+    """Reference dense or depthwise conv2d: (out, dx, dw, db) for input x,
+    weight wd, optional bias and output gradient gy, from the windowed tap
+    loops with the oracles above."""
+    b, cin, h, w = x.shape
+    out_c, _, k, _ = wd.shape
+    depthwise = wd.shape[1] == 1 and cin == out_c
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho, wo = gy.shape[2:]
+    taps = list(_tap_windows(k, stride, ho, wo))
+    if depthwise:
+        out = windowed_depthwise(x, wd, padding, stride)
+    else:
+        out = np.zeros((b, ho, wo, out_c), dtype=x.dtype).transpose(0, 3, 1, 2)
+        for i, j, win in taps:
+            tensordot_dense(out, xp[win], wd[:, :, i, j])
+    out = np.ascontiguousarray(out)
+    if bias is not None:
+        out += bias[None, :, None, None]
+    dw = np.zeros_like(wd)
+    if depthwise:
+        dx = scatter_depthwise_dx(gy, wd, padding, stride, h, w)
+        for i, j, win in taps:
+            dw[:, :, i, j] = (gy * xp[win]).sum(axis=(0, 2, 3))[:, None]
+    else:
+        dxp = np.zeros_like(xp)
+        for i, j, win in taps:
+            tensordot_dense(dxp[win], gy, wd[:, :, i, j].T)
+            dw[:, :, i, j] = tensordot_dense_reduce(gy, xp[win])
+        dx = dxp[:, :, padding : padding + h, padding : padding + w]
+    db = None if bias is None else gy.sum(axis=(0, 2, 3))
+    return out, dx, dw, db
 
 
 def dirac_depthwise(channels, kernel, dtype=np.float32):

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mafnet import gradcheck as gc
 from mafnet import save_config, toy_config
@@ -123,6 +127,52 @@ def test_gradcheck_unknown_op_exits_2(capsys):
     code, _, err = run(capsys, "gradcheck", "--ops", "warp_drive")
     assert code == 2
     assert "unknown ops" in err
+
+
+CHEAP_FAMILIES = ["silu", "upsample", "concat", "split", "pool", "cross_entropy", "batchnorm"]
+TOLS = ["-1", "-1e-3", "0", "1e-4", "1.0", "nan", "-nan", "inf", "-inf", "1e400"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tokens=st.lists(
+        st.sampled_from(CHEAP_FAMILIES) | st.sampled_from(["", "warp_drive", "Silu", " silu"]),
+        max_size=4,
+    ),
+    tol=st.sampled_from(TOLS),
+    seed=st.sampled_from([-(2**70), -1, 0, 3]) | st.integers(2**64 + 1, 2**80),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_gradcheck_argv_property(tokens, tol, seed, fmt):
+    """Every gradcheck argv ends in its documented exit code with no
+    traceback: exit 2 for an empty or unknown op, a tolerance that is
+    negative or not finite, or a negative seed; otherwise 0 (PASS) or 1 (FAIL),
+    and --format json prints one JSON object whose pass field agrees."""
+    argv = ["gradcheck", f"--ops={','.join(tokens)}", f"--tol={tol}", f"--seed={seed}",
+            "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    names = [t for t in tokens if t]
+    bad = (
+        not names
+        or any(n not in CHEAP_FAMILIES for n in names)
+        or not (math.isfinite(float(tol)) and float(tol) >= 0)
+        or seed < 0
+    )
+    if bad:
+        assert code == 2 and out == "" and err.startswith("error:")
+        return
+    assert code in (0, 1) and err == ""
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["pass"] is (code == 0)
+        assert len(payload["checks"]) == sum(2 if n == "batchnorm" else 1 for n in names)
+    else:
+        verdict = "PASS" if code == 0 else "FAIL"
+        assert out.rstrip().endswith(f"gradcheck: {verdict} (tol {float(tol):g})")
 
 
 def test_erf_writes_csv_and_radius(capsys, toy_cfg_path, tmp_path):

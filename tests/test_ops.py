@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mafnet import AutogradError, ConfigError, ShapeError, Tensor
+from mafnet import AutogradError, ConfigError, ShapeError, Tensor, using
 from mafnet import ops
 
-from helpers import identity_pointwise, mask_sigmoid, naive_conv2d, windowed_depthwise
+from helpers import (
+    identity_pointwise,
+    mask_sigmoid,
+    naive_conv2d,
+    windowed_conv2d_grads,
+    windowed_depthwise,
+)
 
 
 rng = np.random.default_rng
@@ -146,6 +152,65 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
     assert y.shape == ref.shape and y.data.flags.c_contiguous
     view = UINT_VIEW[dtype]
     np.testing.assert_array_equal(y.data.view(view), ref.view(view))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    k=st.sampled_from([1, 3, 5, 7, 9]),
+    stride=st.sampled_from([1, 2]),
+    depthwise=st.booleans(),
+    gemv=st.booleans(),
+    batch=st.integers(1, 3),
+    channels=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    pad_frac=st.floats(0, 1),
+    with_bias=st.booleans(),
+    bad_tap=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    seed=st.integers(0, 2**16),
+)
+def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
+    dtype, k, stride, depthwise, gemv, batch, channels, extra, pad_frac, with_bias, bad_tap, seed
+):
+    """conv2d's output and its x, w and bias gradients equal the windowed
+    tap loops with tensordot mixes and the depthwise dx scatter bit for bit:
+    at every padding from 0 to k (past k - 1 the dx correlation has no
+    padding to give), on 1x1 maps with one output channel, and with an
+    infinite or NaN kernel tap."""
+    r = rng(seed)
+    padding = round(pad_frac * k)
+    cin, cout = channels
+    if depthwise:
+        cout = cin
+    elif gemv:
+        cout = 1
+    side = max(1, k - 2 * padding)
+    h, w = (side, side) if gemv else (side + extra[0], side + extra[1])
+    x = r.standard_normal((batch, cin, h, w)).astype(dtype)
+    x[r.random(x.shape) < 0.2] = -0.0
+    wd = r.standard_normal((cout, 1 if depthwise else cin, k, k)).astype(dtype)
+    wd[r.random(wd.shape) < 0.2] = 0.0
+    if bad_tap is not None:
+        wd[tuple(r.integers(0, n) for n in wd.shape)] = bad_tap
+    b = r.standard_normal(cout).astype(dtype) if with_bias else None
+    ho, wo = ops.conv_output_hw(h, w, k, stride, padding)
+    gy = r.standard_normal((batch, cout, ho, wo)).astype(dtype)
+    gy[r.random(gy.shape) < 0.2] = 0.0
+    xt, wt = Tensor(x, requires_grad=True), Tensor(wd, requires_grad=True)
+    bt = None if b is None else Tensor(b, requires_grad=True)
+    with using(checked=False), np.errstate(invalid="ignore", over="ignore"):
+        y = ops.conv2d(xt, wt, bt, stride, padding, cin if depthwise else 1)
+        ops.sum_all(ops.mul(y, Tensor(gy))).backward()
+        ref = windowed_conv2d_grads(x, wd, b, stride, padding, gy)
+    view = UINT_VIEW[dtype]
+    got = (y.data, xt.grad, wt.grad, None if bt is None else bt.grad)
+    for name, g, want in zip(("out", "dx", "dw", "db"), got, ref):
+        if want is None:
+            continue
+        # grads land in zero-initialized buffers: +0 + g
+        want = want if name == "out" else np.zeros_like(want) + want
+        assert g.shape == want.shape, name
+        np.testing.assert_array_equal(g.view(view), want.view(view), err_msg=name)
 
 
 def test_conv_linearity():
