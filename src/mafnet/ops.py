@@ -8,15 +8,19 @@ a single loop over it. The forward adds mix(window, tap weights) into the
 output, dx scatters mix(gy, tap weights transposed) back into the windows,
 and dw reduces gy against each window. Only the per-tap channel mix depends
 on the kind: a depthwise tap is a per-channel scale, a dense tap one
-tensordot (BLAS). Memory stays flat at one window per tap. The depthwise
-forward walks the same taps over flattened rows instead (`_depthwise_rows`),
-which gives the same bits in far fewer, longer loops. The deploy path runs
-dense convs through `conv2d_gemm`, one GEMM per call and no backward.
+`np.dot` (BLAS) of the window's channels-last reshape. Memory stays flat at
+one window per tap. The depthwise forward walks the same taps over flattened
+rows instead (`_depthwise_rows`), which gives the same bits in far fewer,
+longer loops; so does the stride-1 depthwise dx, as a correlation of the
+zero-padded gy that walks the taps in the scatter's order. The deploy path
+runs dense convs through `conv2d_gemm`, one GEMM per call and no backward.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -85,24 +89,30 @@ def _validate_conv(
 def _pad_hw(a: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return a
-    return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
+    b, c, h, w = a.shape
+    out = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    out[:, :, p : p + h, p : p + w] = a
+    return out
 
 
-def _taps(k: int, stride: int, ho: int, wo: int) -> list:
+@functools.lru_cache(maxsize=256)
+def _taps(k: int, stride: int, ho: int, wo: int) -> tuple:
     """(i, j, window) per kernel tap; `window` indexes the padded input pixels
-    that tap (i, j) reads for every output pixel."""
-    return [
+    that tap (i, j) reads for every output pixel. Cached, so it is a tuple."""
+    return tuple(
         (i, j, (..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)))
         for i in range(k)
         for j in range(k)
-    ]
+    )
 
 
 # Per-tap channel mixes. `mix(acc, a, wt)` adds to acc the contraction of the
 # channels of a (B,C,H,W) map with an (out, in) tap matrix, and
 # `reduce(gy, xs)` gives that tap's weight gradient: a per-channel scale for
-# depthwise taps, one tensordot for dense ones. tensordot yields channels-last
-# maps, so the dense forward accumulates channels-last and every add streams.
+# depthwise taps, one `np.dot` for dense ones. The dense mix takes the
+# channels-last (B*H*W, C) reshape of its map, as np.tensordot would, so it
+# yields channels-last maps: the dense forward accumulates channels-last and
+# every add streams.
 
 def _scale(acc, a, wt):
     acc += wt.reshape(1, -1, 1, 1) * a
@@ -112,13 +122,17 @@ def _scale_reduce(gy, xs):
     return (gy * xs).sum(axis=(0, 2, 3))[:, None]
 
 
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
+
+
 def _dense(acc, a, wt):
     acc_cl = acc.transpose(0, 2, 3, 1)
-    acc_cl += np.tensordot(a, wt, axes=([1], [1]))
+    acc_cl += np.dot(_channels_last(a), wt.T).reshape(acc_cl.shape)
 
 
 def _dense_reduce(gy, xs):
-    return np.tensordot(gy, xs, axes=([0, 2, 3], [0, 2, 3]))
+    return np.dot(gy.transpose(1, 0, 2, 3).reshape(gy.shape[1], -1), _channels_last(xs))
 
 
 # Rows per block of `_depthwise_rows` hold about this many elements, so that
@@ -126,15 +140,22 @@ def _dense_reduce(gy, xs):
 _ROW_BLOCK = 1 << 16
 
 
-def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: int) -> np.ndarray:
-    """Stride-1 depthwise forward with each (batch, channel) map flattened to
-    one row. On an (ho, padded width) output grid the window of tap (i, j) is
-    one contiguous run of the flat padded input, starting at i * width + j;
-    the grid columns past wo are discarded. Every kept element sees the same
-    multiplies and adds, in the same tap order, as in the windowed loop."""
+def _depthwise_rows(
+    xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: int, flip: bool = False
+) -> np.ndarray:
+    """Stride-1 depthwise correlation with each (batch, channel) map flattened
+    to one row. On an (ho, padded width) output grid the window of tap (i, j)
+    is one contiguous run of the flat padded input, starting at i * width + j,
+    or at (k-1-i) * width + (k-1-j) with `flip` (the kernel turned by 180
+    degrees, still walked in (i, j) order); the grid columns past wo are
+    discarded. Every kept element sees the same multiplies and adds, in the
+    same tap order, as in the windowed loop."""
     b, c, h, w = xd.shape
     k, width = wd.shape[2], w + 2 * padding
     n = ho * width
+    starts = [t // k * width + t % k for t in range(k * k)]
+    if flip:
+        starts = [(k - 1) * (width + 1) - s for s in starts]
     # One spare bottom row: the last tap's run ends k - 1 past the padding.
     xp = np.zeros((b * c, (h + 2 * padding + 1) * width), dtype=xd.dtype)
     xp.reshape(b, c, -1, width)[:, :, padding : padding + h, padding : padding + w] = xd
@@ -148,8 +169,7 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: i
     try:
         for r in range(0, b * c, rows):
             a, xr, wr = acc[r : r + rows], xp[r : r + rows], taps[r : r + rows]
-            for t in range(k * k):
-                start = t // k * width + t % k
+            for t, start in enumerate(starts):
                 a += wr[:, t, None] * xr[:, start : start + n]
     finally:
         np.setbufsize(bufsize)
@@ -191,12 +211,19 @@ def conv2d(
 
     def backward(gy):
         if x.requires_grad:
-            dxp = np.zeros((b, cin, h + 2 * padding, wdim + 2 * padding), dtype=xd.dtype)
-            for i, j, win in taps:
-                mix(dxp[win], gy, wd[:, :, i, j].T)
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + wdim]
-            x.accumulate_grad(dxp)
+            if depthwise and stride == 1 and padding < k and np.isfinite(wd).all():
+                # dx is the correlation of gy, zero-padded by k-1-padding, with
+                # the turned kernel. Walked in the scatter's tap order, each
+                # element gets the scatter's sum: the padded terms add w * 0,
+                # and an accumulator that starts at +0 never becomes -0. An
+                # infinite or NaN w would make w * 0 a NaN, so it scatters.
+                dx = _depthwise_rows(gy, wd, k - 1 - padding, h, wdim, flip=True)
+            else:
+                dx = np.zeros((b, cin, h + 2 * padding, wdim + 2 * padding), dtype=xd.dtype)
+                for i, j, win in taps:
+                    mix(dx[win], gy, wd[:, :, i, j].T)
+                dx = dx[:, :, padding : padding + h, padding : padding + wdim]
+            x.accumulate_grad(dx)
         if w.requires_grad:
             xp = _pad_hw(xd, padding)
             dw = np.zeros_like(wd)

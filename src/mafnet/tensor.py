@@ -71,7 +71,7 @@ def count_ops():
 
 
 def check_finite(data: np.ndarray, op: str) -> None:
-    if RUNTIME.checked and not np.all(np.isfinite(data)):
+    if RUNTIME.checked and not np.isfinite(data).all():
         raise NumericalError(f"{op}: non-finite values in output")
 
 
