@@ -174,9 +174,9 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
 ):
     """conv2d's output and its x, w and bias gradients equal the windowed
     tap loops with tensordot mixes and the depthwise dx scatter bit for bit:
-    at every padding from 0 to k (past k - 1 the dx correlation has no
-    padding to give), on 1x1 maps with one output channel, and with an
-    infinite or NaN kernel tap."""
+    at every padding from 0 to k (past k - 1 the depthwise dx scatters),
+    on 1x1 maps with one output channel, and with an infinite or NaN kernel
+    tap (which also makes the depthwise dx scatter)."""
     r = rng(seed)
     padding = round(pad_frac * k)
     cin, cout = channels
