@@ -11,9 +11,8 @@ on the kind: a depthwise tap is a per-channel scale, a dense tap one
 `np.dot` (BLAS) of the window's channels-last reshape. Memory stays flat at
 one window per tap. The depthwise forward walks the same taps over flattened
 rows instead (`_depthwise_rows`), which gives the same bits in far fewer,
-longer loops; so does the stride-1 depthwise dx, as a correlation of the
-zero-padded gy that walks the taps in the scatter's order. The deploy path
-runs dense convs through `conv2d_gemm`, one GEMM per call and no backward.
+longer loops. The deploy path runs dense convs through `conv2d_gemm`, one
+GEMM per call and no backward.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
@@ -140,22 +139,15 @@ def _dense_reduce(gy, xs):
 _ROW_BLOCK = 1 << 16
 
 
-def _depthwise_rows(
-    xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: int, flip: bool = False
-) -> np.ndarray:
-    """Stride-1 depthwise correlation with each (batch, channel) map flattened
-    to one row. On an (ho, padded width) output grid the window of tap (i, j)
-    is one contiguous run of the flat padded input, starting at i * width + j,
-    or at (k-1-i) * width + (k-1-j) with `flip` (the kernel turned by 180
-    degrees, still walked in (i, j) order); the grid columns past wo are
-    discarded. Every kept element sees the same multiplies and adds, in the
-    same tap order, as in the windowed loop."""
+def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: int) -> np.ndarray:
+    """Stride-1 depthwise forward with each (batch, channel) map flattened to
+    one row. On an (ho, padded width) output grid the window of tap (i, j) is
+    one contiguous run of the flat padded input, starting at i * width + j;
+    the grid columns past wo are discarded. Every kept element sees the same
+    multiplies and adds, in the same tap order, as in the windowed loop."""
     b, c, h, w = xd.shape
     k, width = wd.shape[2], w + 2 * padding
     n = ho * width
-    starts = [t // k * width + t % k for t in range(k * k)]
-    if flip:
-        starts = [(k - 1) * (width + 1) - s for s in starts]
     # One spare bottom row: the last tap's run ends k - 1 past the padding.
     xp = np.zeros((b * c, (h + 2 * padding + 1) * width), dtype=xd.dtype)
     xp.reshape(b, c, -1, width)[:, :, padding : padding + h, padding : padding + w] = xd
@@ -169,7 +161,8 @@ def _depthwise_rows(
     try:
         for r in range(0, b * c, rows):
             a, xr, wr = acc[r : r + rows], xp[r : r + rows], taps[r : r + rows]
-            for t, start in enumerate(starts):
+            for t in range(k * k):
+                start = t // k * width + t % k
                 a += wr[:, t, None] * xr[:, start : start + n]
     finally:
         np.setbufsize(bufsize)
@@ -211,19 +204,12 @@ def conv2d(
 
     def backward(gy):
         if x.requires_grad:
-            if depthwise and stride == 1 and padding < k and np.isfinite(wd).all():
-                # dx is the correlation of gy, zero-padded by k-1-padding, with
-                # the turned kernel. Walked in the scatter's tap order, each
-                # element gets the scatter's sum: the padded terms add w * 0,
-                # and an accumulator that starts at +0 never becomes -0. An
-                # infinite or NaN w would make w * 0 a NaN, so it scatters.
-                dx = _depthwise_rows(gy, wd, k - 1 - padding, h, wdim, flip=True)
-            else:
-                dx = np.zeros((b, cin, h + 2 * padding, wdim + 2 * padding), dtype=xd.dtype)
-                for i, j, win in taps:
-                    mix(dx[win], gy, wd[:, :, i, j].T)
-                dx = dx[:, :, padding : padding + h, padding : padding + wdim]
-            x.accumulate_grad(dx)
+            dxp = np.zeros((b, cin, h + 2 * padding, wdim + 2 * padding), dtype=xd.dtype)
+            for i, j, win in taps:
+                mix(dxp[win], gy, wd[:, :, i, j].T)
+            if padding:
+                dxp = dxp[:, :, padding : padding + h, padding : padding + wdim]
+            x.accumulate_grad(dxp)
         if w.requires_grad:
             xp = _pad_hw(xd, padding)
             dw = np.zeros_like(wd)

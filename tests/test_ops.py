@@ -167,16 +167,29 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
     pad_frac=st.floats(0, 1),
     with_bias=st.booleans(),
     bad_tap=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    one_row_blocks=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
-    dtype, k, stride, depthwise, gemv, batch, channels, extra, pad_frac, with_bias, bad_tap, seed
+    dtype,
+    k,
+    stride,
+    depthwise,
+    gemv,
+    batch,
+    channels,
+    extra,
+    pad_frac,
+    with_bias,
+    bad_tap,
+    one_row_blocks,
+    seed,
 ):
     """conv2d's output and its x, w and bias gradients equal the windowed
     tap loops with tensordot mixes and the depthwise dx scatter bit for bit:
-    at every padding from 0 to k (past k - 1 the depthwise dx scatters),
-    on 1x1 maps with one output channel, and with an infinite or NaN kernel
-    tap (which also makes the depthwise dx scatter)."""
+    at every padding from 0 to k, in one block of rows or in blocks of one
+    row, on 1x1 maps with one output channel, and with an infinite or NaN
+    kernel tap."""
     r = rng(seed)
     padding = round(pad_frac * k)
     cin, cout = channels
@@ -198,7 +211,11 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     gy[r.random(gy.shape) < 0.2] = 0.0
     xt, wt = Tensor(x, requires_grad=True), Tensor(wd, requires_grad=True)
     bt = None if b is None else Tensor(b, requires_grad=True)
-    with using(checked=False), np.errstate(invalid="ignore", over="ignore"):
+    with pytest.MonkeyPatch.context() as mp, using(checked=False), np.errstate(
+        invalid="ignore", over="ignore"
+    ):
+        if one_row_blocks:
+            mp.setattr(ops, "_ROW_BLOCK", 1, raising=False)
         y = ops.conv2d(xt, wt, bt, stride, padding, cin if depthwise else 1)
         ops.sum_all(ops.mul(y, Tensor(gy))).backward()
         ref = windowed_conv2d_grads(x, wd, b, stride, padding, gy)
