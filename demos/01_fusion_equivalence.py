@@ -4,7 +4,8 @@ A unit trains as a large depthwise conv running alongside smaller ones
 (7x7 + 5x5 + 3x3 here), each with its own batch norm. For inference the
 batch norms fold into their kernels, the small kernels are zero-padded to
 the large size, and everything sums into a single conv + bias. This script
-builds one unit, fuses it, and measures how far the two paths diverge.
+builds one unit, fuses it, and measures how far the two paths diverge: the
+fused unit runs its merged kernel, and inside `branch_path()` its branches.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from mafnet import (
     randomize_bn_stats,
     randomize_weights,
 )
+from mafnet.repconv import branch_path
 
 rng = np.random.default_rng(0)
 
@@ -36,9 +38,10 @@ print("fused kernel shape:", w.shape, " bias shape:", b.shape)
 
 x = Tensor(rng.standard_normal((2, 16, 32, 32)).astype(np.float32))
 with no_grad():
-    y_train = unit.forward_train(x)
+    with branch_path():
+        y_train = unit(x)
     with count_ops() as counts:
-        y_fused = unit.forward_fused(x)
+        y_fused = unit(x)
 
 dev = float(np.abs(y_train.data - y_fused.data).max())
 print(f"max |branch-sum - fused| on random input: {dev:.3e}")
@@ -52,5 +55,7 @@ unit64.eval()
 unit64.fuse()
 x64 = Tensor(rng.standard_normal((2, 16, 32, 32)))
 with no_grad():
-    dev64 = float(np.abs(unit64.forward_train(x64).data - unit64.forward_fused(x64).data).max())
+    with branch_path():
+        y64_train = unit64(x64)
+    dev64 = float(np.abs(y64_train.data - unit64(x64).data).max())
 print(f"same check in float64: {dev64:.3e}")

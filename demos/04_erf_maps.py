@@ -2,8 +2,10 @@
 
 Builds two depth-4 fused depthwise stacks (9x9 vs 3x3), measures the
 gradient of the center output activation with respect to the input, and
-compares the radius containing 95% of the gradient mass. Writes the maps
-as CSV and PGM next to this script.
+compares the radius containing 95% of the gradient mass. The gradient is
+recorded on the tape, so each fused unit runs its branch form: the merged
+kernel serves inference only, and the two forms agree to rounding. Writes
+the maps as CSV and PGM next to this script.
 """
 
 from pathlib import Path

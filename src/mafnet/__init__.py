@@ -62,7 +62,6 @@ from .repconv import (
     default_small_kernels,
     fold_bn,
     fuse_equivalence_deviation,
-    hetero_branch_sum,
     pad_kernel_to,
     randomize_bn_stats,
     randomize_weights,

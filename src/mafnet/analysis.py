@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, NumericalError, ShapeError
-from .modules import BatchNorm2d, Conv2d, Module
+from .modules import BatchNorm2d, Conv2d, Module, runs_deploy
 from .repconv import RepHDWConv
 from .tensor import Tensor, using
 
@@ -118,7 +118,7 @@ def _classify(m: Module):
     if isinstance(m, RepHDWConv):
         c, k = m.channels, m.kernel
         fields = {"kernel": k, "branch_kernels": list(m.branch_kernels), "channels": c,
-                  "fused": m.fused}
+                  "fused": m.deploy}
         return "rephdw", c * k * k + c, c * k * k, fields
     return None
 
@@ -135,7 +135,7 @@ def _probe_record(module: Module, in_channels: int, probe_hw: int):
         kind, params, weights, _ = layer
         if kind == "rephdw":
             # only a unit that runs fused is one conv; otherwise its branches are costed
-            if not m.runs_fused:
+            if not runs_deploy(m):
                 return
             kind = "dwconv-fused"
         records.append((names[id(m)], kind, params, weights, out.shape))

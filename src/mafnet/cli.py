@@ -54,6 +54,12 @@ def _check_tol(command: str, tol: float) -> None:
         raise ConfigError(f"{command}: --tol must be finite and >= 0, got {tol}")
 
 
+def _check_size(command: str, flag: str, size: int) -> None:
+    # a model input side is a multiple of 32; a negative one would reach numpy
+    if size < 1 or size % 32:
+        raise ConfigError(f"{command}: {flag} must be a positive multiple of 32, got {size}")
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "format", "text") == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -66,6 +72,7 @@ def _emit(args, payload: dict, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_summary(args) -> int:
+    _check_size("summary", "--input-size", args.input_size)
     cfg = _load_model_config(args)
     model = build_model(cfg)
     if args.fused:
@@ -85,6 +92,8 @@ def cmd_summary(args) -> int:
 def cmd_verify_fuse(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"verify-fuse: --trials must be >= 1, got {args.trials}")
+    if args.mode == "model":
+        _check_size("verify-fuse", "--input-size", args.input_size)
     if args.tol is None:
         args.tol = 1e-4 if args.mode == "unit" else 1e-3
     _check_tol("verify-fuse", args.tol)
@@ -184,6 +193,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_erf(args) -> int:
     if args.random_inputs < 0:
         raise ConfigError(f"erf: --random-inputs must be >= 0, got {args.random_inputs}")
+    _check_size("erf", "--input-size", args.input_size)
     cfg = _load_model_config(args)
     model = build_model(cfg)
     shape = (1, cfg.in_channels, args.input_size, args.input_size)
@@ -213,8 +223,7 @@ def cmd_erf(args) -> int:
 
 
 def cmd_toy_train(args) -> int:
-    if args.size < 1 or args.size % 32:
-        raise ConfigError(f"toy-train: --size must be a positive multiple of 32, got {args.size}")
+    _check_size("toy-train", "--size", args.size)
     if not math.isfinite(args.lr):
         # a usage error, not a divergence for a training step to report (exit 3)
         raise ConfigError(f"toy-train: --lr must be finite, got {args.lr}")
@@ -281,6 +290,7 @@ def _ablate_rows(preset: str, seed: int):
 
 
 def cmd_ablate(args) -> int:
+    _check_size("ablate", "--input-size", args.input_size)
     rows = []
     for label, cfg in _ablate_rows(args.preset, args.seed):
         model = build_model(cfg)

@@ -4,7 +4,8 @@ Modules register parameters (Tensors with requires_grad) and buffers
 (plain numpy arrays such as running statistics or fused kernels) so the
 whole tree can be walked for serialization, cost accounting and inventory
 introspection. Initialization is fully determined by the generator handed
-to the constructor.
+to the constructor. Every module has one `deploy` flag: `fuse_model` sets it
+on each layer it readies, and `runs_deploy` is the one place that reads it.
 """
 
 from __future__ import annotations
@@ -68,17 +69,10 @@ def fold_bn(weight: np.ndarray, bn: BatchNormParams) -> tuple[np.ndarray, np.nda
 
 
 def runs_deploy(m: "Module") -> bool:
-    """Whether a fused layer runs its deploy form now: in eval mode and outside
-    `branch_path()`. `RepHDWConv.runs_fused` reads it; dense convs read it
-    through `runs_folded`."""
-    return not m.training and not RUNTIME.branch_path
-
-
-def runs_folded(m: "Module") -> bool:
-    """Whether a dense conv that `fuse_model` prepared, and the batch norm
-    folded into it, run the deploy GEMM now: on the deploy path and with the
-    tape off, since that op has no backward."""
-    return runs_deploy(m) and not RUNTIME.grad
+    """Whether a layer that `fuse_model` readied runs its deploy form now: in
+    eval mode, with the tape off (the deploy GEMM has no backward) and outside
+    `branch_path()`. Otherwise it runs the form it had before fusing."""
+    return m.deploy and not m.training and not RUNTIME.grad and not RUNTIME.branch_path
 
 
 class Module:
@@ -89,6 +83,7 @@ class Module:
         object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "_children", {})
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "deploy", False)
 
     def __setattr__(self, name, value):
         if isinstance(value, Tensor) and value.requires_grad:
@@ -233,7 +228,6 @@ class Conv2d(Module):
         self.bias = (
             Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True) if bias else None
         )
-        self.deploy = False
         self.folded_bn = None
 
     def forward(self, x):
@@ -241,7 +235,7 @@ class Conv2d(Module):
             raise ShapeError(
                 f"Conv2d: input has {x.shape[1]} channels, layer expects {self.in_channels}"
             )
-        if not (self.deploy and runs_folded(self)):
+        if not runs_deploy(self):
             return ops.conv2d(x, self.weight, self.bias, self.stride, groups=self.groups)
         w, b = self.weight, self.bias
         if self.folded_bn is not None:
@@ -266,10 +260,9 @@ class BatchNorm2d(Module):
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))
         self.register_buffer("running_var", np.ones(channels, dtype=dtype))
-        self.folded = False
 
     def forward(self, x):
-        if self.folded and runs_folded(self):
+        if runs_deploy(self):
             return x  # the conv that produced x applied this norm
         if self.training:
             y, mu, var = ops.batchnorm_train(x, self.gamma, self.beta, self.eps)

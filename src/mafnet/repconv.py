@@ -5,6 +5,9 @@ ones, each followed by its own batch norm, and sums the results. For
 inference every branch is folded into its batch norm, zero-padded to the
 large kernel size and summed, leaving a single depthwise convolution with a
 bias that is numerically equivalent to the training-time branch sum.
+`RepHDWConv.forward` runs that kernel when `runs_deploy` says the unit runs
+its deploy form, and the branch sum otherwise; `branch_path()` compares the
+two forms on one fused unit or model.
 """
 
 from __future__ import annotations
@@ -45,15 +48,6 @@ def pad_kernel_to(weight: np.ndarray, target: int) -> np.ndarray:
     return np.pad(weight, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
-def hetero_branch_sum(x: Tensor, branches: list[tuple[Conv2d, BatchNorm2d]]) -> Tensor:
-    """Sum of depthwise conv + BN over parallel branches, all 'same'-padded."""
-    out = None
-    for conv, bn in branches:
-        y = bn(conv(x))
-        out = y if out is None else out + y
-    return out
-
-
 class RepHDWConv(Module):
     """Parallel heterogeneous depthwise branches, mergeable into one kernel.
 
@@ -83,7 +77,6 @@ class RepHDWConv(Module):
             bn = BatchNorm2d(channels, dtype=dtype)
             setattr(self, f"conv{k}", conv)
             setattr(self, f"bn{k}", bn)
-        self.fused = False
 
     # -- forwards ------------------------------------------------------------
     def _branches(self) -> list[tuple[Conv2d, BatchNorm2d]]:
@@ -92,32 +85,21 @@ class RepHDWConv(Module):
             for k in self.branch_kernels
         ]
 
-    def forward_train(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[1] != self.channels:
             raise ShapeError(
                 f"RepHDWConv: input has {x.shape[1]} channels, unit has {self.channels}"
             )
-        return hetero_branch_sum(x, self._branches())
-
-    def forward_fused(self, x: Tensor) -> Tensor:
-        if not self.fused:
-            raise ConfigError("RepHDWConv: fuse() has not been called")
-        w = Tensor(self.fused_weight)
-        b = Tensor(self.fused_bias)
-        return ops.conv2d(x, w, b, groups=self.channels)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.runs_fused:
-            return self.forward_fused(x)
-        return self.forward_train(x)
+        if runs_deploy(self):
+            w, b = Tensor(self.fused_weight), Tensor(self.fused_bias)
+            return ops.conv2d(x, w, b, groups=self.channels)
+        out = None
+        for conv, bn in self._branches():
+            y = bn(conv(x))
+            out = y if out is None else out + y
+        return out
 
     # -- reparameterization ----------------------------------------------------
-    @property
-    def runs_fused(self) -> bool:
-        """Whether a forward runs the merged kernel: fused, in eval mode and
-        not inside `branch_path()`."""
-        return self.fused and runs_deploy(self)
-
     def fuse(self) -> tuple[np.ndarray, np.ndarray]:
         """Merge all branches into a single (C,1,K,K) kernel and bias vector.
 
@@ -142,7 +124,7 @@ class RepHDWConv(Module):
         # a second fuse replaces each entry in place, keeping the state order
         self.register_buffer("fused_weight", merged_w.astype(dtype))
         self.register_buffer("fused_bias", merged_b.astype(dtype))
-        self.fused = True
+        self.deploy = True
         return self.fused_weight, self.fused_bias
 
 
@@ -171,7 +153,7 @@ def fuse_model(model: Module) -> int:
                 conv.deploy = True
                 object.__setattr__(conv, "folded_bn", bn)  # a reference, not a child
                 if bn is not None:
-                    bn.folded = True
+                    bn.deploy = True
     return n
 
 
@@ -202,9 +184,10 @@ def randomize_weights(module: Module, rng: np.random.Generator, scale: float = 0
 def fuse_equivalence_deviation(
     unit: RepHDWConv, x: Tensor
 ) -> float:
-    """Max |train-path forward - fused forward| on one input (eval mode)."""
+    """Max |branch-path forward - fused forward| on one input (eval mode)."""
     with unit.mode(False), no_grad():
         unit.fuse()
-        y_train = unit.forward_train(x)
-        y_fused = unit.forward_fused(x)
-    return float(np.abs(y_train.data - y_fused.data).max())
+        y_fused = unit(x)
+        with branch_path():
+            y_branch = unit(x)
+    return float(np.abs(y_branch.data - y_fused.data).max())

@@ -175,6 +175,36 @@ def test_gradcheck_argv_property(tokens, tol, seed, fmt):
         assert out.rstrip().endswith(f"gradcheck: {verdict} (tol {float(tol):g})")
 
 
+# (command argv, count flag, its least valid value); every size drawn is bad,
+# so each argv fails before any forward
+SIZED_COMMANDS = [(["erf"], "--random-inputs", 0), (["verify-fuse", "--mode", "model"], "--trials", 1)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    command=st.sampled_from(SIZED_COMMANDS),
+    size=st.sampled_from([-32, 0, 31, 33, 48]),
+    count=st.sampled_from([None, 0, -1]),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_input_size_argv_property(command, size, count, fmt):
+    """An --input-size that is not a positive multiple of 32, or a count below
+    its least valid value, is exit 2 with an error naming the flag, never a
+    traceback or an output."""
+    argv, flag, least = command
+    argv = [*argv, f"--input-size={size}", "--format", fmt]
+    if count is not None:
+        argv.append(f"{flag}={count}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    assert code == 2 and out == "" and err.startswith("error:")
+    named = flag if count is not None and count < least else "--input-size"
+    assert named in err
+
+
 def test_erf_writes_csv_and_radius(capsys, toy_cfg_path, tmp_path):
     out_csv = tmp_path / "erf.csv"
     pgm = tmp_path / "erf.pgm"

@@ -156,14 +156,23 @@ def test_fuse_model_adds_only_rephdw_state_and_keeps_costs():
 
 
 def test_fused_model_with_tape_on_runs_unfolded_ops():
-    # the deploy GEMM has no backward, so a recorded forward must not use it
+    # the deploy GEMM has no backward, so a recorded forward runs the branch
+    # form everywhere: the RepHDW branches, unfolded dense convs, live norms
     model = build_model(toy_config(seed=3))
     model.eval()
     fuse_model(model)
     x = Tensor(rng(4).standard_normal((1, 3, 64, 64)).astype(np.float32), requires_grad=True)
     with count_ops() as counts:
-        model(x)
+        taped, _ = model.forward_taps(x)
+    with count_ops() as branch_counts, no_grad(), branch_path():
+        branch, _ = model.forward_taps(x)
+    assert counts == branch_counts
     assert counts["batchnorm_infer"] > 0 and "conv2d_gemm" not in counts
+    branch_convs = sum(len(u.branch_kernels) for _, u in rep_units(model))
+    dense = sum(isinstance(m, Conv2d) and m.groups == 1 for m in model.modules())
+    assert counts["conv2d"] == branch_convs + dense
+    for k in taped:
+        assert taped[k].data.tobytes() == branch[k].data.tobytes()
     heat = erf_map(model, "N3", x.data)
     assert np.isfinite(heat).all() and heat.sum() == pytest.approx(1.0)
 
@@ -260,7 +269,7 @@ def test_fused_state_survives_roundtrip(tmp_path):
     assert any(n.endswith("fused_weight") for n in names)
     fresh = build_model(toy_config(seed=9))
     load_weights(fresh, str(p))
-    units = [m for m in fresh.modules() if getattr(m, "fused", False) is True]
+    units = [m for m in fresh.modules() if isinstance(m, RepHDWConv) and m.deploy]
     assert units
     fresh.eval()
     x = Tensor(rng(1).standard_normal((1, 3, 64, 64)).astype(np.float32))
@@ -328,8 +337,7 @@ def test_fuse_model_in_train_mode_changes_nothing():
     model = build_model(toy_config(seed=4))
     with pytest.raises(ConfigError, match="eval mode"):
         fuse_model(model)
-    assert not any(getattr(m, "deploy", False) or getattr(m, "folded", False)
-                   or getattr(m, "fused", False) for m in model.modules())
+    assert not any(m.deploy for m in model.modules())
 
 
 def test_truncated_file_reports_offset(tmp_path):

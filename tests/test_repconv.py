@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from mafnet import (
-    BatchNorm2d,
     ConfigError,
-    Conv2d,
     RepHDWConv,
     Tensor,
     count_ops,
@@ -12,7 +10,6 @@ from mafnet import (
     default_small_kernels,
     fold_bn,
     fuse_equivalence_deviation,
-    hetero_branch_sum,
     no_grad,
     pad_kernel_to,
     randomize_bn_stats,
@@ -20,6 +17,7 @@ from mafnet import (
 )
 from mafnet import ops
 from mafnet.modules import BatchNormParams
+from mafnet.repconv import branch_path
 
 from helpers import dirac_depthwise, make_identity_bn
 
@@ -122,25 +120,8 @@ def test_single_branch_dirac_is_identity():
     u = _identity_unit(3, 3, use_rep=False)
     u.eval()
     x = Tensor(rng(1).standard_normal((1, 3, 5, 5)).astype(np.float32))
-    y = u.forward_train(x)
+    y = u(x)
     np.testing.assert_allclose(y.data, x.data, atol=1e-6)
-
-
-def test_duplicated_branches_superpose():
-    # construct the duplicated-branch sum directly; the module itself
-    # rejects duplicate kernel sizes
-    c = 2
-    branches = []
-    for _ in range(2):
-        conv = Conv2d(c, c, 3, groups=c, rng=rng(0))
-        conv.weight.data = dirac_depthwise(c, 3)
-        bn = BatchNorm2d(c)
-        make_identity_bn(bn)
-        bn.eval()
-        branches.append((conv, bn))
-    x = Tensor(rng(2).standard_normal((1, c, 4, 4)).astype(np.float32))
-    y = hetero_branch_sum(x, branches)
-    np.testing.assert_allclose(y.data, 2.0 * x.data, atol=1e-6)
 
 
 def test_forward_train_compositional_oracle():
@@ -150,7 +131,7 @@ def test_forward_train_compositional_oracle():
     randomize_bn_stats(u, r)
     u.eval()
     x = Tensor(r.standard_normal((2, 8, 16, 16)).astype(np.float32))
-    y = u.forward_train(x)
+    y = u(x)
     acc = None
     for k in (7, 5, 3):
         conv = getattr(u, f"conv{k}")
@@ -169,8 +150,13 @@ def test_forward_train_compositional_oracle():
 
 def test_channel_mismatch():
     u = RepHDWConv(4, 5, rng=rng(0))
+    x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
     with pytest.raises(Exception, match="channels"):
-        u.forward_train(Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32)))
+        u(x)
+    u.eval()
+    u.fuse()
+    with pytest.raises(Exception, match="channels"), no_grad():
+        u(x)
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +225,12 @@ def test_fused_forward_is_single_conv():
     x = Tensor(np.ones((1, 4, 8, 8), dtype=np.float32))
     with count_ops() as counts:
         with no_grad():
-            u.forward_fused(x)
-    assert counts["conv2d"] == 1
-
-
-def test_forward_fused_requires_fuse():
-    u = RepHDWConv(4, 7, rng=rng(8))
-    u.eval()
-    with pytest.raises(ConfigError, match="fuse"):
-        u.forward_fused(Tensor(np.zeros((1, 4, 8, 8), dtype=np.float32)))
+            u(x)
+    assert counts == {"conv2d": 1}
+    with count_ops() as counts:
+        with no_grad(), branch_path():
+            u(x)
+    assert counts == {"conv2d": 3, "batchnorm_infer": 3, "add": 2}
 
 
 def test_fuse_rejected_in_train_mode():
@@ -261,7 +244,7 @@ def test_gradient_reaches_every_branch():
     u = RepHDWConv(4, 7, rng=r)
     u.eval()
     x = Tensor(r.standard_normal((1, 4, 8, 8)).astype(np.float32))
-    y = u.forward_train(x)
+    y = u(x)
     ops.sum_all(y).backward()
     for k in u.branch_kernels:
         g = getattr(u, f"conv{k}").weight.grad
