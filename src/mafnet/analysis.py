@@ -1,10 +1,10 @@
 """Cost accounting, layer inventory and effective-receptive-field maps.
 
-Parameter and multiply-accumulate counts are taken from an instrumented
-probe forward (so they always describe the path that actually executes) and
-rescaled exactly to the requested input size: every layer in these networks
-runs at input resolution divided by a power of two, so its MAC count is
-params_without_bias * (H >> s) * (W >> s).
+Parameter and multiply-accumulate counts are taken from one instrumented
+probe forward over an empty batch at the requested input size, so they
+always describe the path that actually executes, at the sizes it runs at,
+without computing any activation: a layer's MAC count is
+params_without_bias * out_h * out_w of its real output.
 
 Conventions, also printed in every report header: conv MACs are weight
 multiplies only (bias adds excluded); inference batch norm counts one MAC
@@ -28,9 +28,6 @@ FLOPS_CONVENTION = (
     "MACs: conv = weight multiplies (bias excluded); inference BN = C*H*W; "
     "activations/upsample/concat/split = 0. FLOPs = 2 * MACs."
 )
-
-_PROBE_HW = 64
-
 
 @dataclass
 class CostRow:
@@ -123,10 +120,10 @@ def _classify(m: Module):
     return None
 
 
-def _probe_record(module: Module, in_channels: int, probe_hw: int):
-    """Run an eval-mode probe forward, collecting one record per costed layer."""
+def _probe_rows(module: Module, in_channels: int, h: int, w: int) -> list[CostRow]:
+    """Run an eval-mode probe over an empty h x w batch; one row per costed layer."""
     names = {id(m): n for n, m in module.named_modules()}
-    records: list[tuple[str, str, int, int, tuple]] = []
+    rows: list[CostRow] = []
 
     def observer(m, out):
         layer = _classify(m)
@@ -138,12 +135,14 @@ def _probe_record(module: Module, in_channels: int, probe_hw: int):
             if not runs_deploy(m):
                 return
             kind = "dwconv-fused"
-        records.append((names[id(m)], kind, params, weights, out.shape))
+        _, c, ho, wo = out.shape
+        rows.append(CostRow(name=names[id(m)], kind=kind, params=params, macs=weights * ho * wo,
+                            out_shape=(1, c, ho, wo),
+                            non_learnable=params if kind == "bn" else 0))
 
     with module.mode(False), using(grad=False, observer=observer):
-        x = Tensor(np.zeros((1, in_channels, probe_hw, probe_hw), dtype=np.float32))
-        module.forward_taps(x)
-    return records
+        module.forward_taps(Tensor(np.zeros((0, in_channels, h, w), dtype=np.float32)))
+    return rows
 
 
 def _infer_in_channels(module: Module) -> int:
@@ -164,9 +163,8 @@ def count_costs(
 ) -> CostReport:
     """Count parameters and MACs along the active forward path.
 
-    The probe resolution is a 64x64 stand-in; counts are rescaled exactly to
-    `input_hw`, which therefore must keep every stride-2 stage divisible
-    (any multiple of 32 is safe for the full model).
+    The probe runs once, over an empty batch at `input_hw`, so every row's
+    MACs come from the size its layer actually outputs; rows report batch 1.
     """
     if isinstance(input_hw, int):
         input_hw = (input_hw, input_hw)
@@ -174,32 +172,7 @@ def count_costs(
     if h < 1 or w < 1:
         raise ConfigError(f"count_costs: bad input size {input_hw}")
     in_channels = in_channels or _infer_in_channels(module)
-    records = _probe_record(module, in_channels, _PROBE_HW)
-    rows = []
-    for name, kind, params, params_nb, out_shape in records:
-        ho = out_shape[2]
-        if ho > _PROBE_HW or _PROBE_HW % ho:
-            raise ConfigError(
-                f"count_costs: layer {name} output height {ho} is not a power-of-two "
-                f"fraction of the probe size"
-            )
-        s = int(np.log2(_PROBE_HW // ho))
-        th, tw = h >> s, w >> s
-        if th << s != h or tw << s != w:
-            raise ConfigError(
-                f"count_costs: input {h}x{w} not divisible by 2^{s} required by layer {name}"
-            )
-        rows.append(
-            CostRow(
-                name=name,
-                kind=kind,
-                params=params,
-                macs=params_nb * th * tw,
-                out_shape=(out_shape[0], out_shape[1], th, tw),
-                non_learnable=params if kind == "bn" else 0,
-            )
-        )
-    return CostReport(input_hw=(h, w), rows=rows)
+    return CostReport(input_hw=(h, w), rows=_probe_rows(module, in_channels, h, w))
 
 
 def layer_inventory(module: Module) -> list[dict]:

@@ -149,8 +149,9 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: i
     k, width = wd.shape[2], w + 2 * padding
     n = ho * width
     # One spare bottom row: the last tap's run ends k - 1 past the padding.
-    xp = np.zeros((b * c, (h + 2 * padding + 1) * width), dtype=xd.dtype)
-    xp.reshape(b, c, -1, width)[:, :, padding : padding + h, padding : padding + w] = xd
+    height = h + 2 * padding + 1
+    xp = np.zeros((b * c, height * width), dtype=xd.dtype)
+    xp.reshape(b, c, height, width)[:, :, padding : padding + h, padding : padding + w] = xd
     taps = np.tile(wd.reshape(c, k * k), (b, 1))
     acc = np.zeros((b * c, n), dtype=xd.dtype)
     rows = max(1, _ROW_BLOCK // n)

@@ -14,12 +14,14 @@ from mafnet import (
     nano_config,
     no_grad,
     toy_config,
+    using,
     write_heatmap_csv,
     write_heatmap_pgm,
 )
 from mafnet.errors import ConfigError
 from mafnet.model import calibrate_bn_stats
 from mafnet.repconv import branch_path, randomize_bn_stats
+from mafnet.train import ToyClassifier
 
 rng = np.random.default_rng
 
@@ -105,6 +107,41 @@ def test_probe_shapes_match_real_forward():
     spatial = {taps[k].shape[2] for k in ("P2", "P3", "P4", "P5")}
     assert spatial == {32, 16, 8, 4}
     assert {r.out_shape[2] for r in report.rows} <= {128, 64, 32, 16, 8, 4}
+
+
+def _observed_shapes(module, hw):
+    """(name, output shape) of every module call in a real batch-1 eval
+    forward; modules that return a dict of taps have shape None."""
+    names = {id(m): n for n, m in module.named_modules()}
+    seen = []
+
+    def observer(m, out):
+        seen.append((names[id(m)], getattr(out, "shape", None)))
+
+    with module.mode(False), using(grad=False, observer=observer):
+        module.forward_taps(Tensor(np.zeros((1, 3, *hw), dtype=np.float32)))
+    return seen
+
+
+@pytest.mark.parametrize("hw", [(96, 96), (64, 160)])
+@pytest.mark.parametrize("make", [build_model, ToyClassifier], ids=["model", "classifier"])
+def test_cost_rows_match_observed_forward_shapes(make, hw):
+    """Every row's shape is the output shape its layer has in a real forward,
+    including layers after the classifier's global pool."""
+    module = make(toy_config())
+    report = count_costs(module, hw)
+    costed = {r.name for r in report.rows}
+    seen = [(name, shape[1:]) for name, shape in _observed_shapes(module, hw) if name in costed]
+    assert [(r.name, r.out_shape[1:]) for r in report.rows] == seen
+    assert all(r.out_shape[0] == 1 for r in report.rows)
+
+
+@pytest.mark.parametrize("size", [64, 96, 640])
+def test_classifier_row_costed_on_pooled_map(size):
+    model = ToyClassifier(toy_config())
+    (row,) = [r for r in count_costs(model, size).rows if r.name == "classifier"]
+    assert row.out_shape == (1, 2, 1, 1)
+    assert row.macs == model.classifier.weight.data.size
 
 
 def test_nano_calibration_window():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from mafnet import gradcheck as gc
 from mafnet import save_config, toy_config
-from mafnet.cli import main
+from mafnet import cli
+from mafnet.cli import MAX_INPUT_SIDE, main
 
 
 def run(capsys, *argv):
@@ -175,24 +176,31 @@ def test_gradcheck_argv_property(tokens, tol, seed, fmt):
         assert out.rstrip().endswith(f"gradcheck: {verdict} (tol {float(tol):g})")
 
 
-# (command argv, count flag, its least valid value); every size drawn is bad,
-# so each argv fails before any forward
-SIZED_COMMANDS = [(["erf"], "--random-inputs", 0), (["verify-fuse", "--mode", "model"], "--trials", 1)]
+# (command argv, size flag, count flag, its least valid value); every size
+# drawn is bad, so each argv fails before any forward. toy-train checks its
+# size first, so it draws no count.
+SIZED_COMMANDS = [
+    (["erf"], "--input-size", "--random-inputs", 0),
+    (["verify-fuse", "--mode", "model"], "--input-size", "--trials", 1),
+    (["toy-train", "--steps", "1"], "--size", None, None),
+]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     command=st.sampled_from(SIZED_COMMANDS),
-    size=st.sampled_from([-32, 0, 31, 33, 48]),
+    size=st.sampled_from([-32, 0, 31, 33, 48, 2147483648]),
     count=st.sampled_from([None, 0, -1]),
     fmt=st.sampled_from(["text", "json"]),
 )
 def test_input_size_argv_property(command, size, count, fmt):
-    """An --input-size that is not a positive multiple of 32, or a count below
-    its least valid value, is exit 2 with an error naming the flag, never a
-    traceback or an output."""
-    argv, flag, least = command
-    argv = [*argv, f"--input-size={size}", "--format", fmt]
+    """A size that is not a positive multiple of 32 up to cli.MAX_INPUT_SIDE,
+    or a count below its least valid value, is exit 2 with an error naming
+    the flag, never a traceback or an output."""
+    argv, size_flag, flag, least = command
+    argv = [*argv, f"{size_flag}={size}", "--format", fmt]
+    if flag is None:
+        count = None
     if count is not None:
         argv.append(f"{flag}={count}")
     out, err = io.StringIO(), io.StringIO()
@@ -201,8 +209,23 @@ def test_input_size_argv_property(command, size, count, fmt):
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3) and "Traceback" not in err
     assert code == 2 and out == "" and err.startswith("error:")
-    named = flag if count is not None and count < least else "--input-size"
+    named = flag if count is not None and count < least else size_flag
     assert named in err
+    if size > MAX_INPUT_SIDE and named == size_flag:
+        assert str(MAX_INPUT_SIDE) in err
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 12.0 GiB")])
+def test_memory_error_is_exit_2(capsys, monkeypatch, exc):
+    """A command that runs out of memory is a usage error, not a traceback."""
+    def boom(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_summary", boom)
+    code, out, err = run(capsys, "summary")
+    assert code == 2 and out == ""
+    assert err.startswith("error: out of memory: ") and "Traceback" not in err
+    assert str(exc) in err
 
 
 def test_erf_writes_csv_and_radius(capsys, toy_cfg_path, tmp_path):

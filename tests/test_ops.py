@@ -248,6 +248,20 @@ def test_conv_output_shape_formula():
     assert y.shape == (1, 4, (11 + 4 - 5) // 2 + 1, (13 + 4 - 5) // 2 + 1)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("depthwise", [True, False])
+def test_conv_empty_batch_shapes(stride, depthwise):
+    """A batch of 0 images gives an empty output of the right shape, as the
+    cost probe in `count_costs` relies on."""
+    x = Tensor(np.zeros((0, 4, 11, 13), dtype=np.float32))
+    w = Tensor(np.zeros((4, 1 if depthwise else 4, 5, 5), dtype=np.float32))
+    expected = (0, 4, (11 - 1) // stride + 1, (13 - 1) // stride + 1)
+    y = ops.conv2d(x, w, stride=stride, groups=4 if depthwise else 1)
+    assert y.shape == expected and y.dtype == np.float32
+    if not depthwise:
+        assert ops.conv2d_gemm(x, w, stride=stride).shape == expected
+
+
 def test_conv_errors_name_offending_dim():
     x = Tensor(np.zeros((1, 3, 4, 4), dtype=np.float32))
     w = Tensor(np.zeros((2, 4, 3, 3), dtype=np.float32))
