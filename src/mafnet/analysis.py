@@ -136,12 +136,20 @@ def _probe_rows(module: Module, in_channels: int, h: int, w: int) -> list[CostRo
                 return
             kind = "dwconv-fused"
         _, c, ho, wo = out.shape
-        rows.append(CostRow(name=names[id(m)], kind=kind, params=params, macs=weights * ho * wo,
-                            out_shape=(1, c, ho, wo),
-                            non_learnable=params if kind == "bn" else 0))
+        rows.append(
+            CostRow(
+                name=names[id(m)],
+                kind=kind,
+                params=params,
+                macs=weights * ho * wo,
+                out_shape=(1, c, ho, wo),
+                non_learnable=params if kind == "bn" else 0,
+            )
+        )
 
     with module.mode(False), using(grad=False, observer=observer):
-        module.forward_taps(Tensor(np.zeros((0, in_channels, h, w), dtype=np.float32)))
+        x = Tensor(np.zeros((0, in_channels, h, w), dtype=np.float32))
+        module.forward_taps(x)
     return rows
 
 
