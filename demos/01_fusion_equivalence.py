@@ -15,6 +15,7 @@ from mafnet import (
     Tensor,
     count_ops,
     default_small_kernels,
+    fuse_equivalence_deviation,
     no_grad,
     randomize_bn_stats,
     randomize_weights,
@@ -51,11 +52,6 @@ print("convolutions issued by the fused path:", counts["conv2d"])
 unit64 = RepHDWConv(channels=16, kernel=7, rng=rng, dtype=np.float64)
 randomize_weights(unit64, rng)
 randomize_bn_stats(unit64, rng)
-unit64.eval()
-unit64.fuse()
 x64 = Tensor(rng.standard_normal((2, 16, 32, 32)))
-with no_grad():
-    with branch_path():
-        y64_train = unit64(x64)
-    dev64 = float(np.abs(y64_train.data - unit64(x64).data).max())
+dev64 = fuse_equivalence_deviation(unit64, x64)  # fuses the unit, then compares
 print(f"same check in float64: {dev64:.3e}")

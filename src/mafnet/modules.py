@@ -245,17 +245,11 @@ class Conv2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(
-        self,
-        channels: int,
-        eps: float = 1e-5,
-        momentum: float = 0.1,
-        dtype=np.float32,
-    ):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.channels = channels
-        self.eps = float(eps)
-        self.momentum = float(momentum)
+        self.eps = 1e-5
+        self.momentum = 0.1
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.register_buffer("running_mean", np.zeros(channels, dtype=dtype))

@@ -181,13 +181,16 @@ def randomize_weights(module: Module, rng: np.random.Generator, scale: float = 0
             p.data = (rng.standard_normal(p.shape) * scale).astype(p.dtype)
 
 
-def fuse_equivalence_deviation(
-    unit: RepHDWConv, x: Tensor
-) -> float:
-    """Max |branch-path forward - fused forward| on one input (eval mode)."""
-    with unit.mode(False), no_grad():
-        unit.fuse()
-        y_fused = unit(x)
+def fuse_equivalence_deviation(module: Module, x: Tensor) -> float:
+    """Max |branch-path forward - deploy forward| over every output of a unit
+    or a model on one input (eval mode, no tape). A module with no fused layer
+    is fused first; one already fused is checked with the kernels it holds."""
+    with module.mode(False), no_grad():
+        if not any(m.deploy for m in module.modules()):
+            fuse_model(module)
+        y_fused = module(x)
         with branch_path():
-            y_branch = unit(x)
-    return float(np.abs(y_branch.data - y_fused.data).max())
+            y_branch = module(x)
+    if isinstance(y_fused, Tensor):
+        y_fused, y_branch = {"out": y_fused}, {"out": y_branch}
+    return max(float(np.abs(y_branch[k].data - y_fused[k].data).max()) for k in y_fused)

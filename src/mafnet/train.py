@@ -32,16 +32,15 @@ class BlobDataset:
         return self.images.shape[0]
 
 
-def make_blob_dataset(
-    n: int = 64, size: int = 64, channels: int = 3, seed: int = 0
-) -> BlobDataset:
-    """Deterministic blob images: class 0 = small blobs, class 1 = one large blob."""
+def make_blob_dataset(n: int = 64, size: int = 64, seed: int = 0) -> BlobDataset:
+    """Deterministic 3-channel blob images: class 0 = small blobs, class 1 =
+    one large blob."""
     if n < 1:
         raise ConfigError(f"make_blob_dataset: n must be >= 1, got {n}")
     if size < 2 * BLOB_MARGIN:
         raise ConfigError(f"make_blob_dataset: size must be >= {2 * BLOB_MARGIN}, got {size}")
     rng = np.random.default_rng(seed)
-    images = np.zeros((n, channels, size, size), dtype=np.float32)
+    images = np.zeros((n, 3, size, size), dtype=np.float32)
     labels = np.zeros(n, dtype=np.int64)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     for i in range(n):
@@ -57,7 +56,7 @@ def make_blob_dataset(
             sigma = rng.uniform(size * 0.12, size * 0.2)
             canvas += np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
         canvas += rng.normal(0, 0.02, canvas.shape)
-        for c in range(channels):
+        for c in range(3):
             images[i, c] = ((0.8 + 0.2 * rng.random()) * canvas).astype(np.float32)
         labels[i] = label
     return BlobDataset(images=images, labels=labels)
@@ -66,12 +65,11 @@ def make_blob_dataset(
 class ToyClassifier(Trunk):
     """Backbone + fusion neck + pooled linear classifier over all three outputs."""
 
-    def __init__(self, cfg: ModelConfig, num_classes: int = 2, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, dtype=np.float32):
         rng = np.random.default_rng(cfg.seed)
         super().__init__(cfg, rng, dtype)
-        self.classifier = Conv2d(
-            sum(cfg.neck.widths), num_classes, 1, bias=True, rng=rng, dtype=dtype
-        )
+        # one logit per blob class
+        self.classifier = Conv2d(sum(cfg.neck.widths), 2, 1, bias=True, rng=rng, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         outs, _ = self.trunk_taps(x)

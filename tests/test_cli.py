@@ -3,11 +3,20 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mafnet import gradcheck as gc
-from mafnet import save_config, toy_config
+from mafnet import (
+    RepHDWConv,
+    build_model,
+    calibrate_bn_stats,
+    fuse_model,
+    save_config,
+    save_weights,
+    toy_config,
+)
 from mafnet import cli
 from mafnet.cli import MAX_INPUT_SIDE, main
 
@@ -92,6 +101,40 @@ def test_verify_fuse_model_mode(capsys, toy_cfg_path):
     )
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+@pytest.fixture(scope="module")
+def toy_weight_files(tmp_path_factory):
+    """A calibrated toy model saved unfused, fused, and fused with every
+    RepHDW kernel zeroed, next to its config."""
+    d = tmp_path_factory.mktemp("weights")
+    save_config(toy_config(), str(d / "toy.json"))
+    model = build_model(toy_config())
+    calibrate_bn_stats(model, np.random.default_rng(0), (1, 3, 64, 64))
+    save_weights(model, str(d / "unfused.mafw"))
+    model.eval()
+    fuse_model(model)
+    save_weights(model, str(d / "fused.mafw"))
+    for unit in model.modules():
+        if isinstance(unit, RepHDWConv):
+            unit.set_buffer("fused_weight", np.zeros_like(unit.fused_weight))
+    save_weights(model, str(d / "zeroed.mafw"))
+    return d
+
+
+@pytest.mark.parametrize("mode", ["unit", "model"])
+@pytest.mark.parametrize("name, code", [("unfused", 0), ("fused", 0), ("zeroed", 1)])
+def test_verify_fuse_checks_the_kernels_a_weight_file_holds(
+    capsys, toy_weight_files, name, code, mode
+):
+    d = toy_weight_files
+    got, out, _ = run(
+        capsys,
+        "verify-fuse", "--config", str(d / "toy.json"), "--weights", str(d / f"{name}.mafw"),
+        "--mode", mode, "--input-size", "64", "--trials", "1", "--format", "json",
+    )
+    assert got == code
+    assert json.loads(out)["pass"] is (code == 0)
 
 
 def test_gradcheck_selected_ops(capsys):

@@ -207,6 +207,18 @@ def test_fuse_equivalence_float64():
     assert fuse_equivalence_deviation(u, x) <= 1e-10
 
 
+def test_fuse_equivalence_deviation_checks_held_kernels():
+    r = rng(6)
+    u = RepHDWConv(8, 7, rng=r)
+    randomize_weights(u, r)
+    randomize_bn_stats(u, r)
+    x = Tensor(r.standard_normal((2, 8, 16, 16)).astype(np.float32))
+    assert fuse_equivalence_deviation(u, x) <= 1e-4
+    u.set_buffer("fused_weight", np.zeros_like(u.fused_weight))
+    # a fused unit is not re-fused, so its zeroed kernel shows
+    assert fuse_equivalence_deviation(u, x) > 1e-1
+
+
 def test_fuse_is_idempotent():
     r = rng(6)
     u = RepHDWConv(4, 7, rng=r)
