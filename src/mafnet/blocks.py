@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .modules import BatchNorm2d, Conv2d, Module, ModuleList
+from .modules import BatchNorm2d, Conv2d, Module, ModuleList, runs_deploy
 from .repconv import RepHDWConv
 
 
@@ -95,8 +95,8 @@ class Bottleneck(Module):
             raise ShapeError(
                 f"Bottleneck: input has {x.shape[1]} channels, expected {self.channels}"
             )
-        y = ops.silu(self.bn_expand(self.pw_expand(x)))
-        y = ops.silu(self.dw(y))
+        y = ops.silu(self.bn_expand(self.pw_expand(x)), runs_deploy(self.pw_expand))
+        y = ops.silu(self.dw(y), runs_deploy(self.dw))
         return self.bn_shrink(self.pw_shrink(y))
 
 
@@ -138,11 +138,11 @@ class RepHELAN(Module):
             raise ShapeError(
                 f"RepHELAN: input has {x.shape[1]} channels, expected {self.in_channels}"
             )
-        h = ops.silu(self.bn_in(self.pw_in(x)))
+        h = ops.silu(self.bn_in(self.pw_in(x)), runs_deploy(self.pw_in))
         s0, s1 = ops.split_channels(h, [self.hidden, self.hidden])
         chain = [s1]
         for b in self.bottlenecks:
             chain.append(b(chain[-1]))
         lanes = [s0] + chain if self.use_elan else [s0, chain[-1]]
         y = ops.concat_channels(lanes)
-        return ops.silu(self.bn_out(self.pw_out(y)))
+        return ops.silu(self.bn_out(self.pw_out(y)), runs_deploy(self.pw_out))

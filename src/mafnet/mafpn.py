@@ -22,7 +22,7 @@ import numpy as np
 from . import ops
 from .blocks import RepHELAN, check_config
 from .errors import ConfigError, ShapeError
-from .modules import BatchNorm2d, Conv2d, ConvBN, Module
+from .modules import BatchNorm2d, Conv2d, ConvBN, Module, runs_deploy
 from .tensor import Tensor
 
 
@@ -94,7 +94,7 @@ class DownLane(Module):
         self.proj = Conv2d(in_channels, out_channels, 1, bias=True, rng=rng, dtype=dtype)
 
     def forward(self, x):
-        return ops.silu(self.proj(self.bn(self.down(x))))
+        return ops.silu(self.proj(self.bn(self.down(x))), runs_deploy(self.proj))
 
 
 class FusionNode(Module):

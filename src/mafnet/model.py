@@ -19,7 +19,7 @@ from . import ops
 from .blocks import RepHELAN, check_config
 from .errors import ConfigError, ShapeError
 from .mafpn import MAFPN, NeckConfig
-from .modules import BatchNorm2d, Conv2d, ConvBN, Module, ModuleList
+from .modules import BatchNorm2d, Conv2d, ConvBN, Module, ModuleList, runs_deploy
 from .repconv import RepHDWConv, fuse_model  # fuse_model: also model.fuse_model
 from .tensor import Tensor, no_grad
 
@@ -153,8 +153,8 @@ class HeadBranch(Module):
 
     def forward(self, x):
         y = self.proj(x)
-        y = ops.silu(self.dw1(y))
-        y = ops.silu(self.dw2(y))
+        y = ops.silu(self.dw1(y), runs_deploy(self.dw1))
+        y = ops.silu(self.dw2(y), runs_deploy(self.dw2))
         return self.out(y)
 
 

@@ -293,4 +293,4 @@ class ConvBN(Module):
         self.bn = BatchNorm2d(out_channels, dtype=dtype)
 
     def forward(self, x):
-        return ops.silu(self.bn(self.conv(x)))
+        return ops.silu(self.bn(self.conv(x)), runs_deploy(self.conv))

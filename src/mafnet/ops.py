@@ -12,7 +12,9 @@ on the kind: a depthwise tap is a per-channel scale, a dense tap one
 one window per tap. The depthwise forward walks the same taps over flattened
 rows instead (`_depthwise_rows`), which gives the same bits in far fewer,
 longer loops. The deploy path runs dense convs through `conv2d_gemm`, one
-GEMM per call and no backward.
+GEMM per call and no backward, and SiLU as `silu(x, deploy=True)`, one exp
+into one fresh buffer and no backward; each caller passes its producer's
+`runs_deploy`.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
@@ -353,8 +355,21 @@ def _sigmoid(xd: np.ndarray) -> np.ndarray:
     return np.divide(e, den, out=e)
 
 
-def silu(x: Tensor) -> Tensor:
-    """y = x * sigmoid(x), element-wise."""
+def silu(x: Tensor, deploy: bool = False) -> Tensor:
+    """y = x * sigmoid(x), element-wise. `deploy=True` runs the forward-only
+    form x / (1 + exp(-x)): one exp into one fresh buffer, within a few ulp of
+    the default form, and no backward."""
+    if deploy:
+        t = np.negative(x.data)
+        # below about -88 (float32) exp(-x) overflows to inf, giving the right -0
+        with np.errstate(over="ignore"):
+            np.exp(t, out=t)
+        t += 1
+
+        def forward_only(gy):
+            raise AutogradError("silu: forward-only deploy form; run deploy=False to record one")
+
+        return make_op_output(np.divide(x.data, t, out=t), (x,), forward_only, "silu")
     s = _sigmoid(x.data)
     # without a tape entry no backward reads s, so the product can overwrite it
     records = RUNTIME.grad and x.requires_grad

@@ -193,4 +193,4 @@ def fuse_equivalence_deviation(module: Module, x: Tensor) -> float:
             y_branch = module(x)
     if isinstance(y_fused, Tensor):
         y_fused, y_branch = {"out": y_fused}, {"out": y_branch}
-    return max(float(np.abs(y_branch[k].data - y_fused[k].data).max()) for k in y_fused)
+    return float(np.max([np.abs(y_branch[k].data - y_fused[k].data).max() for k in y_fused]))

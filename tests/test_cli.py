@@ -16,6 +16,7 @@ from mafnet import (
     save_config,
     save_weights,
     toy_config,
+    using,
 )
 from mafnet import cli
 from mafnet.cli import MAX_INPUT_SIDE, main
@@ -105,8 +106,9 @@ def test_verify_fuse_model_mode(capsys, toy_cfg_path):
 
 @pytest.fixture(scope="module")
 def toy_weight_files(tmp_path_factory):
-    """A calibrated toy model saved unfused, fused, and fused with every
-    RepHDW kernel zeroed, next to its config."""
+    """A calibrated toy model saved unfused, fused, fused with every RepHDW
+    kernel zeroed, and fused with one NaN in the last unit's kernel, next to
+    its config."""
     d = tmp_path_factory.mktemp("weights")
     save_config(toy_config(), str(d / "toy.json"))
     model = build_model(toy_config())
@@ -115,10 +117,17 @@ def toy_weight_files(tmp_path_factory):
     model.eval()
     fuse_model(model)
     save_weights(model, str(d / "fused.mafw"))
-    for unit in model.modules():
-        if isinstance(unit, RepHDWConv):
-            unit.set_buffer("fused_weight", np.zeros_like(unit.fused_weight))
+    units = [m for m in model.modules() if isinstance(m, RepHDWConv)]
+    kernels = [u.fused_weight for u in units]
+    for unit in units:
+        unit.set_buffer("fused_weight", np.zeros_like(unit.fused_weight))
     save_weights(model, str(d / "zeroed.mafw"))
+    for unit, kernel in zip(units, kernels):
+        unit.set_buffer("fused_weight", kernel)
+    # the last unit feeds only the last model output, so a reduction that
+    # keeps a NaN only when it comes first would drop it
+    units[-1].fused_weight[0, 0, 0, 0] = np.nan
+    save_weights(model, str(d / "nan.mafw"))
     return d
 
 
@@ -135,6 +144,25 @@ def test_verify_fuse_checks_the_kernels_a_weight_file_holds(
     )
     assert got == code
     assert json.loads(out)["pass"] is (code == 0)
+
+
+@pytest.mark.parametrize("mode", ["unit", "model"])
+def test_verify_fuse_nan_deviation_fails(capsys, toy_weight_files, mode):
+    """With checked mode off, a NaN in one unit's fused kernel reads a NaN
+    deviation and FAIL, not a vacuous PASS."""
+    d = toy_weight_files
+    with using(checked=False):
+        got, out, _ = run(
+            capsys,
+            "verify-fuse", "--config", str(d / "toy.json"), "--weights", str(d / "nan.mafw"),
+            "--mode", mode, "--input-size", "64", "--trials", "2", "--format", "json",
+        )
+    payload = json.loads(out)
+    assert got == 1 and payload["pass"] is False
+    assert math.isnan(payload["max_deviation"])
+    assert sum(math.isnan(item["max_deviation"]) for item in payload["per_item"]) == (
+        1 if mode == "unit" else 2
+    )
 
 
 def test_gradcheck_selected_ops(capsys):
@@ -256,6 +284,36 @@ def test_input_size_argv_property(command, size, count, fmt):
     assert named in err
     if size > MAX_INPUT_SIDE and named == size_flag:
         assert str(MAX_INPUT_SIDE) in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    command=st.sampled_from(["summary", "ablate"]),
+    size=st.sampled_from([-32, 0, 31, 33, 64, 4097]),
+    fused=st.booleans(),
+    preset=st.sampled_from(["table3", "table9"]),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_summary_and_ablate_argv_property(command, size, fused, preset, fmt):
+    """summary (with and without --fused) and ablate (a known and an unknown
+    --preset) exit 0 with a report at a valid size and 2 with an error naming
+    the bad flag otherwise, never with a traceback; JSON output parses."""
+    argv = [command, f"--input-size={size}", "--format", fmt]
+    argv += (["--fused"] if fused else []) if command == "summary" else ["--preset", preset]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if size != 64:
+        assert code == 2 and out == "" and err.startswith("error:") and "--input-size" in err
+    elif command == "ablate" and preset == "table9":
+        assert code == 2 and out == "" and "unknown ablation preset 'table9'" in err
+    else:
+        assert code == 0 and err == "" and out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["total_params"] if command == "summary" else len(payload["rows"]) == 4
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 12.0 GiB")])

@@ -31,6 +31,7 @@ from mafnet import (
     save_weights,
     toy_config,
 )
+from mafnet import ops
 from mafnet.cli import ABLATIONS, _ablation_config
 from mafnet.model import ModelConfig
 from mafnet.repconv import branch_path
@@ -169,6 +170,38 @@ def test_fused_model_with_tape_on_runs_unfolded_ops():
         assert taped[k].data.tobytes() == branch[k].data.tobytes()
     heat = erf_map(model, "N3", x.data)
     assert np.isfinite(heat).all() and heat.sum() == pytest.approx(1.0)
+
+
+def test_silu_takes_deploy_form_exactly_where_its_producer_does(monkeypatch):
+    """Every SiLU of a fused eval forward with the tape off runs its deploy
+    form; with the tape on, under branch_path() or in train mode none does."""
+    model = build_model(toy_config(seed=3))
+    model.eval()
+    fuse_model(model)
+    x = Tensor(rng(4).standard_normal((1, 3, 64, 64)).astype(np.float32))
+    forms, silu = [], ops.silu
+
+    def recording_silu(t, deploy=False):
+        forms.append(deploy)
+        return silu(t, deploy)
+
+    monkeypatch.setattr(ops, "silu", recording_silu)
+
+    def forms_of(x):
+        forms.clear()
+        with count_ops() as counts:
+            model(x)
+        assert len(forms) == counts["silu"] > 0
+        return set(forms)
+
+    with no_grad():
+        assert forms_of(x) == {True}
+        with branch_path():
+            assert forms_of(x) == {False}
+    assert forms_of(Tensor(x.data, requires_grad=True)) == {False}
+    model.train()
+    with no_grad():
+        assert forms_of(x) == {False}
 
 
 def test_nano_output_strides_at_full_resolution():

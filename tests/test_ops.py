@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mafnet import AutogradError, ConfigError, ShapeError, Tensor, using
+from mafnet import AutogradError, ConfigError, ShapeError, Tensor, count_ops, using
 from mafnet import ops
 
 from helpers import (
@@ -438,6 +438,89 @@ def test_sigmoid_bitwise_on_strided_input(dtype):
     x = (rng(21).standard_normal((2, 6, 9, 10)) * 30).astype(dtype)
     assert_sigmoid_bitwise(x[:, ::2, 1:, ::3])
     assert_sigmoid_bitwise(x.transpose(0, 2, 3, 1))
+
+
+# Below these points exp(x) is no longer a normal number, so the default
+# form's sigmoid loses its relative precision; both forms are then ~0.
+SILU_DEPLOY_ULP_FROM = {np.float32: -87.0, np.float64: -700.0}
+SILU_DEPLOY_ZERO_BAND = {np.float32: 1e-35, np.float64: 1e-300}
+
+
+def ulp_distance(a, b):
+    """Steps between a and b along a's float grid: 0 for equal values, -0.0
+    and +0.0 included, 1 for neighbours, and inf is the step after max. a and
+    b are 1-D, of one dtype, and never of opposite signs."""
+    ints = np.int32 if a.dtype == np.float32 else np.int64
+
+    def ordered(v):
+        i = v.view(ints).astype(np.int64)
+        return np.where(i < 0, np.iinfo(ints).min - i, i)
+
+    return np.abs(ordered(a) - ordered(b))
+
+
+def assert_silu_deploy_form(x):
+    """ops.silu(x, deploy=True) is within 8 ulp of ops.silu(x) from
+    SILU_DEPLOY_ULP_FROM up, both lie within SILU_DEPLOY_ZERO_BAND of zero
+    below it, NaN stays NaN, the output is a fresh `silu` op, and no
+    floating-point warning is raised. x holds no -inf (see the specials test)."""
+    t = Tensor(x)
+    with using(checked=False), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with count_ops() as counts:
+            got = ops.silu(t, deploy=True).data
+        ref = ops.silu(Tensor(x)).data
+    assert counts == {"silu": 1}
+    assert got.dtype == x.dtype and got.shape == x.shape
+    assert not np.shares_memory(got, x)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(x))
+    dt = x.dtype.type
+    ulp = (x >= SILU_DEPLOY_ULP_FROM[dt]) & ~np.isnan(x)
+    np.testing.assert_array_equal(np.isinf(got[ulp]), np.isinf(ref[ulp]))
+    assert np.all(ulp_distance(got[ulp], ref[ulp]) <= 8)
+    low = x < SILU_DEPLOY_ULP_FROM[dt]
+    band = SILU_DEPLOY_ZERO_BAND[dt]
+    assert np.all(np.abs(got[low]) <= band) and np.all(np.abs(ref[low]) <= band)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]).flatmap(
+    lambda dt: hnp.arrays(
+        dt,
+        hnp.array_shapes(min_dims=1, max_dims=4, max_side=6),
+        elements=st.floats(
+            width=np.finfo(dt).bits, allow_nan=True, allow_infinity=False, allow_subnormal=True
+        )
+        | st.floats(-800.0, 120.0, width=np.finfo(dt).bits),
+    )
+))
+def test_silu_deploy_form_matches_default_form(x):
+    assert_silu_deploy_form(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_deploy_form_on_special_values(dtype):
+    fi = np.finfo(dtype)
+    vals = [0.0, -0.0, np.nan, 87.0, -87.0, 88.72, -88.72, 104.0, -104.0, 709.78, -709.78,
+            1e30, -1e30, fi.max, fi.min, fi.smallest_subnormal, -fi.smallest_subnormal,
+            2 * fi.smallest_subnormal, -2 * fi.smallest_subnormal, np.inf]
+    with np.errstate(over="ignore"):  # 709.78 and 1e30 overflow float32 to inf
+        x = np.array(vals, dtype=np.float64).astype(dtype)
+    assert_silu_deploy_form(x)
+    with using(checked=False):
+        assert ops.silu(Tensor(x), deploy=True).data[-1] == np.inf
+        # -inf is NaN in both forms (-inf * 0 and -inf / inf), each flagged invalid
+        for deploy in (False, True):
+            with pytest.warns(RuntimeWarning, match="invalid"):
+                y = ops.silu(Tensor(np.array([-np.inf, 1.0], dtype=dtype)), deploy=deploy)
+            assert np.isnan(y.data[0]) and y.data[1] > 0
+
+
+def test_silu_deploy_form_is_forward_only():
+    x = Tensor(rng(6).standard_normal((1, 2, 3, 3)).astype(np.float32), requires_grad=True)
+    loss = ops.sum_all(ops.silu(x, deploy=True))
+    with pytest.raises(AutogradError, match="forward-only"):
+        loss.backward()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
