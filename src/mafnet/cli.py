@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 
@@ -67,11 +68,26 @@ def _check_size(command: str, flag: str, size: int) -> None:
         raise ConfigError(f"{command}: {flag} must be at most {MAX_INPUT_SIDE}, got {size}")
 
 
+def _finite_or_null(v):
+    # JSON has no NaN or inf: a non-finite number is written as null
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if getattr(args, "format", "text") == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+        text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader has gone (`maf ... | head`). Point stdout at /dev/null so
+        # the flush at exit cannot fail again; the command keeps its exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,12 @@ on the kind: a depthwise tap is a per-channel scale, a dense tap one
 `np.dot` (BLAS) of the window's channels-last reshape. Memory stays flat at
 one window per tap. The depthwise forward walks the same taps over flattened
 rows instead (`_depthwise_rows`), which gives the same bits in far fewer,
-longer loops. The deploy path runs dense convs through `conv2d_gemm`, one
+longer loops, and the depthwise dx scatters into an (H, W, B*C) buffer, so
+each tap adds one run of B*C elements per pixel. A tap whose window holds
+only zero padding (`_reading_taps`: a large kernel on a small map) does no
+per-pixel work: its dx lands only in the cropped border, its forward terms
+are +-0 (one per-channel sum keeps the NaN of an inf or NaN weight), and all
+such taps share one dw reduce. The deploy path runs dense convs through `conv2d_gemm`, one
 GEMM per call and no backward, and SiLU as `silu(x, deploy=True)`, one exp
 into one fresh buffer and no backward; each caller passes its producer's
 `runs_deploy`.
@@ -107,17 +112,22 @@ def _taps(k: int, stride: int, ho: int, wo: int) -> tuple:
     )
 
 
-# Per-tap channel mixes. `mix(acc, a, wt)` adds to acc the contraction of the
-# channels of a (B,C,H,W) map with an (out, in) tap matrix, and
-# `reduce(gy, xs)` gives that tap's weight gradient: a per-channel scale for
+@functools.lru_cache(maxsize=256)
+def _reading_taps(k: int, stride: int, ho: int, wo: int, h: int, w: int, padding: int) -> tuple:
+    """Indices i * k + j of the taps whose window holds at least one unpadded
+    pixel of an h x w input; every other tap reads only zero padding."""
+    rows = [any(padding <= i + stride * o < padding + h for o in range(ho)) for i in range(k)]
+    cols = [any(padding <= j + stride * o < padding + w for o in range(wo)) for j in range(k)]
+    return tuple(i * k + j for i in range(k) for j in range(k) if rows[i] and cols[j])
+
+
+# Per-tap channel mixes. `_dense(acc, a, wt)` adds to acc the contraction of
+# the channels of a (B,C,H,W) map with an (out, in) tap matrix, and
+# `reduce(gy, xs)` gives a tap's weight gradient: a per-channel scale for
 # depthwise taps, one `np.dot` for dense ones. The dense mix takes the
 # channels-last (B*H*W, C) reshape of its map, as np.tensordot would, so it
 # yields channels-last maps: the dense forward accumulates channels-last and
 # every add streams.
-
-def _scale(acc, a, wt):
-    acc += wt.reshape(1, -1, 1, 1) * a
-
 
 def _scale_reduce(gy, xs):
     return (gy * xs).sum(axis=(0, 2, 3))[:, None]
@@ -155,6 +165,7 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: i
     xp = np.zeros((b * c, height * width), dtype=xd.dtype)
     xp.reshape(b, c, height, width)[:, :, padding : padding + h, padding : padding + w] = xd
     taps = np.tile(wd.reshape(c, k * k), (b, 1))
+    live = _reading_taps(k, 1, ho, wo, h, w, padding)
     acc = np.zeros((b * c, n), dtype=xd.dtype)
     rows = max(1, _ROW_BLOCK // n)
     # Under numpy's default 8192-element ufunc buffer, these ufuncs over blocks
@@ -164,12 +175,32 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: i
     try:
         for r in range(0, b * c, rows):
             a, xr, wr = acc[r : r + rows], xp[r : r + rows], taps[r : r + rows]
-            for t in range(k * k):
+            for t in live:
                 start = t // k * width + t % k
                 a += wr[:, t, None] * xr[:, start : start + n]
     finally:
         np.setbufsize(bufsize)
+    if len(live) < k * k:
+        # A padding-only tap adds w * 0: +-0, which changes no bit of an
+        # accumulator that starts at +0 and so never holds -0, or NaN to every
+        # output of its channel when w is inf or NaN. One sum per channel does.
+        acc += (np.delete(taps, live, axis=1) * 0).sum(axis=1)[:, None]
     return acc.reshape(b, c, ho, width)[..., :wo]
+
+
+def _depthwise_dx(gy: np.ndarray, wd: np.ndarray, stride: int, padding: int, h: int, w: int):
+    """Depthwise dx scattered into a padded (H, W, B*C) buffer, one run of B*C
+    elements per pixel and tap, with the products and tap order of a (B, C, H,
+    W) scatter. A padding-only tap writes only the cropped border: skipped."""
+    (b, c, ho, wo), k = gy.shape, wd.shape[2]
+    g = gy.transpose(2, 3, 0, 1).reshape(ho, wo, b * c)
+    taps = np.tile(wd.reshape(c, k * k).T, (1, b))
+    dxp = np.zeros((h + 2 * padding, w + 2 * padding, b * c), dtype=gy.dtype)
+    for t in _reading_taps(k, stride, ho, wo, h, w, padding):
+        i, j = divmod(t, k)
+        dxp[i : i + stride * ho : stride, j : j + stride * wo : stride] += g * taps[t]
+    dx = dxp[padding : padding + h, padding : padding + w]
+    return dx.reshape(h, w, b, c).transpose(2, 3, 0, 1)
 
 
 def conv2d(
@@ -186,7 +217,7 @@ def conv2d(
     xd, wd = x.data, w.data
     b, cin, h, wdim = xd.shape
     depthwise = groups == cin == out_c
-    mix, reduce = (_scale, _scale_reduce) if depthwise else (_dense, _dense_reduce)
+    reduce = _scale_reduce if depthwise else _dense_reduce
     taps = _taps(k, stride, ho, wo)
 
     if depthwise:
@@ -206,18 +237,24 @@ def conv2d(
     parents = (x, w) if bias is None else (x, w, bias)
 
     def backward(gy):
-        if x.requires_grad:
+        if x.requires_grad and depthwise:
+            x.accumulate_grad(_depthwise_dx(gy, wd, stride, padding, h, wdim))
+        elif x.requires_grad:
             dxp = np.zeros((b, cin, h + 2 * padding, wdim + 2 * padding), dtype=xd.dtype)
             for i, j, win in taps:
-                mix(dxp[win], gy, wd[:, :, i, j].T)
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + wdim]
-            x.accumulate_grad(dxp)
+                _dense(dxp[win], gy, wd[:, :, i, j].T)
+            x.accumulate_grad(dxp[:, :, padding : padding + h, padding : padding + wdim])
         if w.requires_grad:
             xp = _pad_hw(xd, padding)
             dw = np.zeros_like(wd)
-            for i, j, win in taps:
-                dw[:, :, i, j] = reduce(gy, xp[win])
+            flat = dw.reshape(*dw.shape[:2], k * k)
+            live = _reading_taps(k, stride, ho, wo, h, wdim, padding)
+            for t in live:
+                flat[..., t] = reduce(gy, xp[taps[t][2]])
+            # every padding-only tap reduces gy against the same all-zero window
+            dead = np.delete(np.arange(k * k), live)
+            if dead.size:
+                flat[..., dead] = reduce(gy, xp[taps[dead[0]][2]])[..., None]
             w.accumulate_grad(dw)
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(gy.sum(axis=(0, 2, 3)))
@@ -311,9 +348,10 @@ def batchnorm_train(
     xd = x.data
     n = xd.shape[0] * xd.shape[2] * xd.shape[3]
     mu = xd.mean(axis=(0, 2, 3))
-    var = xd.var(axis=(0, 2, 3))
-    istd = 1.0 / np.sqrt(var + eps)
     xc = xd - mu[None, :, None, None]
+    # the same operations as numpy's var, without computing xc a second time
+    var = (xc * xc).sum(axis=(0, 2, 3)) / n
+    istd = 1.0 / np.sqrt(var + eps)
     xhat = xc * istd[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 

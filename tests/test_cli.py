@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,10 @@ from mafnet import (
 )
 from mafnet import cli
 from mafnet.cli import MAX_INPUT_SIDE, main
+
+
+def _not_json(token):
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 def run(capsys, *argv):
@@ -157,12 +164,50 @@ def test_verify_fuse_nan_deviation_fails(capsys, toy_weight_files, mode):
             "verify-fuse", "--config", str(d / "toy.json"), "--weights", str(d / "nan.mafw"),
             "--mode", mode, "--input-size", "64", "--trials", "2", "--format", "json",
         )
-    payload = json.loads(out)
+    payload = json.loads(out, parse_constant=_not_json)
     assert got == 1 and payload["pass"] is False
-    assert math.isnan(payload["max_deviation"])
-    assert sum(math.isnan(item["max_deviation"]) for item in payload["per_item"]) == (
+    assert payload["max_deviation"] is None
+    assert sum(item["max_deviation"] is None for item in payload["per_item"]) == (
         1 if mode == "unit" else 2
     )
+
+
+# A child process whose `print` to stdout fails as it does once the reader of
+# a pipe has gone: it buffers some output, then raises BrokenPipeError.
+_PIPE_GONE = """
+import builtins, sys
+from mafnet import cli
+
+def gone(*args, file=None, **kwargs):
+    if file is not None:
+        return builtins.print(*args, file=file, **kwargs)
+    sys.stdout.write("output the reader never takes")
+    raise BrokenPipeError(32, "Broken pipe")
+
+cli.print = gone
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("weights, want", [("fused.mafw", 0), ("nan.mafw", 1)])
+def test_broken_pipe_keeps_the_command_exit_code(toy_weight_files, weights, want):
+    """Output into a closed pipe ends the command with its own exit code (0
+    for a PASS, 1 for the NaN FAIL), with no `error:` line or traceback and
+    no failed flush at exit."""
+    d = toy_weight_files
+    argv = [
+        "verify-fuse", "--config", str(d / "toy.json"), "--weights", str(d / weights),
+        "--input-size", "64", "--trials", "1", "--format", "json",
+    ]
+    # stdout block-buffered, as usual for a pipe, so output is still pending at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["MAF_CHECKED"] = "0"
+    proc = subprocess.run(
+        [sys.executable, "-c", _PIPE_GONE, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == want, proc.stderr
+    assert proc.stdout == ""
+    assert "error" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_gradcheck_selected_ops(capsys):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mafnet import AutogradError, ConfigError, ShapeError, Tensor, count_ops, using
@@ -170,6 +170,14 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
     one_row_blocks=st.booleans(),
     seed=st.integers(0, 2**16),
 )
+# The toy trunk's stride-32 geometry: a k9 kernel, padding 4, on a 2x2 map,
+# where 72 of 81 taps (77 of 81 at stride 2) read only padding. Seed 0 puts
+# the bad tap on such a tap: (7, 0) with batch 2 and 3 channels, (5, 6) with
+# batch 1 and 2 channels.
+@example(np.float32, 9, 1, True, False, 2, (3, 3), (1, 1), 0.45, True, np.nan, False, 0)
+@example(np.float32, 9, 2, True, False, 2, (3, 3), (1, 1), 0.45, False, np.inf, True, 0)
+@example(np.float64, 9, 1, True, False, 1, (2, 2), (1, 1), 0.45, False, -np.inf, False, 0)
+@example(np.float64, 9, 2, True, False, 1, (2, 2), (1, 1), 0.45, True, np.nan, False, 0)
 def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     dtype,
     k,
@@ -228,6 +236,30 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
         want = want if name == "out" else np.zeros_like(want) + want
         assert g.shape == want.shape, name
         np.testing.assert_array_equal(g.view(view), want.view(view), err_msg=name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 9),
+    stride=st.sampled_from([1, 2]),
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+    pad_frac=st.floats(0, 1),
+)
+def test_reading_taps_are_the_windows_holding_an_input_pixel(k, stride, h, w, pad_frac):
+    """`_reading_taps` lists exactly the taps whose strided window of the
+    padded input holds at least one unpadded pixel."""
+    padding = round(pad_frac * k)
+    ho, wo = ops.conv_output_hw(h, w, k, stride, padding)
+    assume(ho >= 1 and wo >= 1)
+    unpadded = np.pad(np.ones((h, w), dtype=bool), padding)
+    want = tuple(
+        i * k + j
+        for i in range(k)
+        for j in range(k)
+        if unpadded[i : i + stride * ho : stride, j : j + stride * wo : stride].any()
+    )
+    assert ops._reading_taps(k, stride, ho, wo, h, w, padding) == want
 
 
 def test_conv_linearity():
@@ -377,6 +409,32 @@ def test_bn_train_normalizes_batch():
     assert np.allclose(y.data.mean(axis=(0, 2, 3)), 0, atol=1e-5)
     assert np.allclose(y.data.std(axis=(0, 2, 3)), 1, atol=1e-3)
     assert np.allclose(mu, x.mean(axis=(0, 2, 3)), atol=1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 24), st.integers(1, 24)),
+    offset=st.sampled_from([0.0, 1.0, -3e3, 1e6]),
+    scale=st.sampled_from([1e-3, 1.0, 50.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(np.float32, (16, 16, 32, 32), 1.0, 1.0, 0)  # toy-step shapes
+@example(np.float32, (16, 32, 2, 2), -3e3, 50.0, 1)
+@example(np.float64, (1, 3, 1, 1), 1e6, 1e-3, 2)
+def test_bn_train_variance_bitwise_equals_numpy_var(dtype, shape, offset, scale, seed):
+    """batchnorm_train's variance, the sum of squared deviations over n, is
+    numpy's var bit for bit, with -0 inputs, large offsets and batch 1."""
+    r = rng(seed)
+    x = (r.standard_normal(shape) * scale + offset).astype(dtype)
+    x[r.random(shape) < 0.2] = -0.0
+    c = shape[1]
+    _, mu, var = ops.batchnorm_train(
+        Tensor(x), Tensor(np.ones(c, dtype=dtype)), Tensor(np.zeros(c, dtype=dtype))
+    )
+    view = UINT_VIEW[dtype]
+    np.testing.assert_array_equal(mu.view(view), x.mean(axis=(0, 2, 3)).view(view))
+    np.testing.assert_array_equal(var.view(view), x.var(axis=(0, 2, 3)).view(view))
 
 
 # ---------------------------------------------------------------------------
