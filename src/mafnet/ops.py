@@ -16,10 +16,10 @@ each tap adds one run of B*C elements per pixel. A tap whose window holds
 only zero padding (`_reading_taps`: a large kernel on a small map) does no
 per-pixel work: its dx lands only in the cropped border, its forward terms
 are +-0 (one per-channel sum keeps the NaN of an inf or NaN weight), and all
-such taps share one dw reduce. The deploy path runs dense convs through `conv2d_gemm`, one
-GEMM per call and no backward, and SiLU as `silu(x, deploy=True)`, one exp
-into one fresh buffer and no backward; each caller passes its producer's
-`runs_deploy`.
+such taps share one dw reduce. The deploy path runs dense convs through
+`conv2d_gemm`, one GEMM per call and no backward, and SiLU as
+`silu(x, deploy=True)`, one exp into one fresh buffer and no backward; each
+caller passes its producer's `runs_deploy`.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
