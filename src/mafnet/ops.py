@@ -2,24 +2,24 @@
 nearest-neighbor upsampling, channel concat/split, pooling and the toy loss.
 
 Convolution is one formulation for the two kinds the network uses, dense
-and depthwise: a tap walker lists, for each of the k^2 kernel taps, the
-strided window of the padded input that the tap reads, and each direction is
-a single loop over it. The forward adds mix(window, tap weights) into the
-output, dx scatters mix(gy, tap weights transposed) back into the windows,
-and dw reduces gy against each window. Only the per-tap channel mix depends
-on the kind: a depthwise tap is a per-channel scale, a dense tap one
-`np.dot` (BLAS) of the window's channels-last reshape. Memory stays flat at
-one window per tap. The depthwise forward walks the same taps over flattened
-rows instead (`_depthwise_rows`), which gives the same bits in far fewer,
-longer loops, and the depthwise dx scatters into an (H, W, B*C) buffer, so
-each tap adds one run of B*C elements per pixel. A tap whose window holds
-only zero padding (`_reading_taps`: a large kernel on a small map) does no
-per-pixel work: its dx lands only in the cropped border, its forward terms
-are +-0 (one per-channel sum keeps the NaN of an inf or NaN weight), and all
-such taps share one dw reduce. The deploy path runs dense convs through
-`conv2d_gemm`, one GEMM per call and no backward, and SiLU as
-`silu(x, deploy=True)`, one exp into one fresh buffer and no backward; each
-caller passes its producer's `runs_deploy`.
+and depthwise, always padded by k//2 ("same" at stride 1): a tap walker
+lists, for each of the k^2 kernel taps, the strided window of the padded
+input that the tap reads, and each direction is a single loop over it. The
+forward adds mix(window, tap weights) into the output, dx (`_conv_dx`)
+scatters mix(gy, tap weights transposed) into the windows of one padded
+(H, W, B, C) buffer for both kinds, and dw reduces gy against each window.
+Only the per-tap channel mix depends on the kind: a depthwise tap is a
+per-channel scale, a dense tap one `np.dot` (BLAS) of a channels-last
+(B*H*W, C) reshape. Memory stays flat at one window per tap. The depthwise
+forward walks the same taps over flattened rows instead (`_depthwise_rows`),
+which gives the same bits in far fewer, longer loops. A tap whose window
+holds only zero padding (`_reading_taps`: a large kernel on a small map) is
+skipped in dx, where it would write only the cropped border; in the
+depthwise forward its terms are +-0 (one per-channel sum keeps the NaN of an
+inf or NaN weight), and all such taps share one dw reduce. The deploy path
+runs dense convs through `conv2d_gemm`, one GEMM per call and no backward,
+and SiLU as `silu(x, deploy=True)`, one exp into one fresh buffer and no
+backward; each caller passes its producer's `runs_deploy`.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
@@ -48,26 +48,20 @@ def _require_same_dtype(op: str, *arrays: np.ndarray) -> None:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _validate_conv(
-    x: Tensor, w: Tensor, bias: Tensor | None, stride: int, padding: int | None, groups: int
-):
-    """(padding, out_channels, k, ho, wo) of a valid conv call; `padding=None`
-    means k//2."""
+def _validate_conv(x: Tensor, w: Tensor, bias: Tensor | None, stride: int, groups: int):
+    """(padding, out_channels, k, ho, wo) of a valid conv call; padding is k//2."""
     if x.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4-D (B,C,H,W), got {x.shape}")
     if w.ndim != 4:
         raise ShapeError(f"conv2d: weight must be 4-D (out,in/groups,k,k), got {w.shape}")
     out_c, cg, kh, kw = w.shape
-    if padding is None:
-        padding = kh // 2
+    padding = kh // 2
     if kh != kw:
         raise ShapeError(f"conv2d: kernel must be square, got {kh}x{kw}")
     if kh % 2 == 0 or kh < 1:
         raise ConfigError(f"conv2d: kernel must be odd and positive, got {kh}")
     if stride not in (1, 2):
         raise ConfigError(f"conv2d: stride must be 1 or 2, got {stride}")
-    if padding < 0:
-        raise ConfigError(f"conv2d: padding must be non-negative, got {padding}")
     b, cin, h, wdim = x.shape
     if groups != 1 and not groups == cin == out_c:
         raise ConfigError(
@@ -113,21 +107,21 @@ def _taps(k: int, stride: int, ho: int, wo: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def _reading_taps(k: int, stride: int, ho: int, wo: int, h: int, w: int, padding: int) -> tuple:
+def _reading_taps(k: int, stride: int, h: int, w: int) -> tuple:
     """Indices i * k + j of the taps whose window holds at least one unpadded
     pixel of an h x w input; every other tap reads only zero padding."""
-    rows = [any(padding <= i + stride * o < padding + h for o in range(ho)) for i in range(k)]
-    cols = [any(padding <= j + stride * o < padding + w for o in range(wo)) for j in range(k)]
+    p = k // 2
+    ho, wo = conv_output_hw(h, w, k, stride, p)
+    rows = [any(p <= i + stride * o < p + h for o in range(ho)) for i in range(k)]
+    cols = [any(p <= j + stride * o < p + w for o in range(wo)) for j in range(k)]
     return tuple(i * k + j for i in range(k) for j in range(k) if rows[i] and cols[j])
 
 
-# Per-tap channel mixes. `_dense(acc, a, wt)` adds to acc the contraction of
-# the channels of a (B,C,H,W) map with an (out, in) tap matrix, and
-# `reduce(gy, xs)` gives a tap's weight gradient: a per-channel scale for
-# depthwise taps, one `np.dot` for dense ones. The dense mix takes the
-# channels-last (B*H*W, C) reshape of its map, as np.tensordot would, so it
-# yields channels-last maps: the dense forward accumulates channels-last and
-# every add streams.
+# Per-tap weight gradients: `reduce(gy, xs)` reduces gy against a tap's
+# window, a per-channel scale for depthwise taps, one `np.dot` for dense ones.
+# Dense taps contract the channels-last (B*H*W, C) reshape of a map, as
+# np.tensordot would; the dense forward accumulates channels-last, so every
+# add streams.
 
 def _scale_reduce(gy, xs):
     return (gy * xs).sum(axis=(0, 2, 3))[:, None]
@@ -135,11 +129,6 @@ def _scale_reduce(gy, xs):
 
 def _channels_last(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
-
-
-def _dense(acc, a, wt):
-    acc_cl = acc.transpose(0, 2, 3, 1)
-    acc_cl += np.dot(_channels_last(a), wt.T).reshape(acc_cl.shape)
 
 
 def _dense_reduce(gy, xs):
@@ -151,21 +140,23 @@ def _dense_reduce(gy, xs):
 _ROW_BLOCK = 1 << 16
 
 
-def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: int) -> np.ndarray:
+def _depthwise_rows(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     """Stride-1 depthwise forward with each (batch, channel) map flattened to
-    one row. On an (ho, padded width) output grid the window of tap (i, j) is
+    one row. On an (h, padded width) output grid the window of tap (i, j) is
     one contiguous run of the flat padded input, starting at i * width + j;
-    the grid columns past wo are discarded. Every kept element sees the same
+    the grid columns past w are discarded. Every kept element sees the same
     multiplies and adds, in the same tap order, as in the windowed loop."""
     b, c, h, w = xd.shape
-    k, width = wd.shape[2], w + 2 * padding
-    n = ho * width
+    k = wd.shape[2]
+    p = k // 2
+    width = w + 2 * p
+    n = h * width
     # One spare bottom row: the last tap's run ends k - 1 past the padding.
-    height = h + 2 * padding + 1
+    height = h + 2 * p + 1
     xp = np.zeros((b * c, height * width), dtype=xd.dtype)
-    xp.reshape(b, c, height, width)[:, :, padding : padding + h, padding : padding + w] = xd
+    xp.reshape(b, c, height, width)[:, :, p : p + h, p : p + w] = xd
     taps = np.tile(wd.reshape(c, k * k), (b, 1))
-    live = _reading_taps(k, 1, ho, wo, h, w, padding)
+    live = _reading_taps(k, 1, h, w)
     acc = np.zeros((b * c, n), dtype=xd.dtype)
     rows = max(1, _ROW_BLOCK // n)
     # Under numpy's default 8192-element ufunc buffer, these ufuncs over blocks
@@ -185,22 +176,33 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, padding: int, ho: int, wo: i
         # accumulator that starts at +0 and so never holds -0, or NaN to every
         # output of its channel when w is inf or NaN. One sum per channel does.
         acc += (np.delete(taps, live, axis=1) * 0).sum(axis=1)[:, None]
-    return acc.reshape(b, c, ho, width)[..., :wo]
+    return acc.reshape(b, c, h, width)[..., :w]
 
 
-def _depthwise_dx(gy: np.ndarray, wd: np.ndarray, stride: int, padding: int, h: int, w: int):
-    """Depthwise dx scattered into a padded (H, W, B*C) buffer, one run of B*C
-    elements per pixel and tap, with the products and tap order of a (B, C, H,
-    W) scatter. A padding-only tap writes only the cropped border: skipped."""
-    (b, c, ho, wo), k = gy.shape, wd.shape[2]
-    g = gy.transpose(2, 3, 0, 1).reshape(ho, wo, b * c)
-    taps = np.tile(wd.reshape(c, k * k).T, (1, b))
-    dxp = np.zeros((h + 2 * padding, w + 2 * padding, b * c), dtype=gy.dtype)
-    for t in _reading_taps(k, stride, ho, wo, h, w, padding):
+def _conv_dx(gy: np.ndarray, wd: np.ndarray, stride: int, x_shape: tuple, depthwise: bool):
+    """dx of a dense or depthwise conv, scattered tap by tap into a padded
+    (H, W, B, C) buffer. Only a tap's mix of gy depends on the kind: a
+    per-channel scale of gy's (H, W, B, C) copy, or one `np.dot` of gy's
+    channels-last rows with the tap's (out, in) matrix. Those rows stay in
+    (b, h, w) order: at one input channel the dot is a GEMV, and OpenBLAS can
+    round a row by its position. A padding-only tap writes only the cropped
+    border: skipped."""
+    (b, cin, h, w), (ho, wo), k = x_shape, gy.shape[2:], wd.shape[2]
+    p = k // 2
+    if depthwise:
+        g = np.ascontiguousarray(gy.transpose(2, 3, 0, 1))
+        taps = np.tile(wd.reshape(cin, k * k).T, (1, b)).reshape(k * k, b, cin)
+    else:
+        g = _channels_last(gy)
+    dxp = np.zeros((h + 2 * p, w + 2 * p, b, cin), dtype=gy.dtype)
+    for t in _reading_taps(k, stride, h, w):
         i, j = divmod(t, k)
-        dxp[i : i + stride * ho : stride, j : j + stride * wo : stride] += g * taps[t]
-    dx = dxp[padding : padding + h, padding : padding + w]
-    return dx.reshape(h, w, b, c).transpose(2, 3, 0, 1)
+        if depthwise:
+            mix = g * taps[t]
+        else:
+            mix = np.dot(g, wd[:, :, i, j]).reshape(b, ho, wo, cin).transpose(1, 2, 0, 3)
+        dxp[i : i + stride * ho : stride, j : j + stride * wo : stride] += mix
+    return dxp[p : p + h, p : p + w].transpose(2, 3, 0, 1)
 
 
 def conv2d(
@@ -208,11 +210,10 @@ def conv2d(
     w: Tensor,
     bias: Tensor | None = None,
     stride: int = 1,
-    padding: int | None = None,
     groups: int = 1,
 ) -> Tensor:
-    """2-D cross-correlation. `padding=None` means k//2 ("same" at stride 1)."""
-    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, padding, groups)
+    """2-D cross-correlation, padded by k//2 ("same" at stride 1)."""
+    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, groups)
 
     xd, wd = x.data, w.data
     b, cin, h, wdim = xd.shape
@@ -223,13 +224,13 @@ def conv2d(
     if depthwise:
         # A stride-2 output keeps every other row and column of the stride-1
         # one; each kept element sees the same taps in the same order.
-        out = _depthwise_rows(xd, wd, padding, *conv_output_hw(h, wdim, k, 1, padding))
-        out = out[..., ::stride, ::stride]
+        out = _depthwise_rows(xd, wd)[..., ::stride, ::stride]
     else:
         xp = _pad_hw(xd, padding)
-        out = np.zeros((b, ho, wo, out_c), dtype=xd.dtype).transpose(0, 3, 1, 2)
+        out = np.zeros((b, ho, wo, out_c), dtype=xd.dtype)
         for i, j, win in taps:
-            _dense(out, xp[win], wd[:, :, i, j])
+            out += np.dot(_channels_last(xp[win]), wd[:, :, i, j].T).reshape(out.shape)
+        out = out.transpose(0, 3, 1, 2)
     out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data[None, :, None, None]
@@ -237,18 +238,13 @@ def conv2d(
     parents = (x, w) if bias is None else (x, w, bias)
 
     def backward(gy):
-        if x.requires_grad and depthwise:
-            x.accumulate_grad(_depthwise_dx(gy, wd, stride, padding, h, wdim))
-        elif x.requires_grad:
-            dxp = np.zeros((b, cin, h + 2 * padding, wdim + 2 * padding), dtype=xd.dtype)
-            for i, j, win in taps:
-                _dense(dxp[win], gy, wd[:, :, i, j].T)
-            x.accumulate_grad(dxp[:, :, padding : padding + h, padding : padding + wdim])
+        if x.requires_grad:
+            x.accumulate_grad(_conv_dx(gy, wd, stride, xd.shape, depthwise))
         if w.requires_grad:
             xp = _pad_hw(xd, padding)
             dw = np.zeros_like(wd)
             flat = dw.reshape(*dw.shape[:2], k * k)
-            live = _reading_taps(k, stride, ho, wo, h, wdim, padding)
+            live = _reading_taps(k, stride, h, wdim)
             for t in live:
                 flat[..., t] = reduce(gy, xp[taps[t][2]])
             # every padding-only tap reduces gy against the same all-zero window
@@ -272,7 +268,7 @@ def conv2d_gemm(
     is W @ X per image, a k x k conv one GEMM over the im2col matrix. It
     matches conv2d to rounding, not bit for bit (BLAS sums in another order),
     and has no backward."""
-    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, None, 1)
+    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, 1)
     xd = x.data
     b, cin = xd.shape[:2]
     if k == 1:

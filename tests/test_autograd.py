@@ -13,7 +13,7 @@ def test_sum_of_conv_weight_grad_is_border_clipped_count():
     h = w = 6
     x = Tensor(np.ones((1, 1, h, w), dtype=np.float32))
     k = Tensor(np.zeros((1, 1, 3, 3), dtype=np.float32), requires_grad=True)
-    y = ops.conv2d(x, k, stride=1, padding=1, groups=1)
+    y = ops.conv2d(x, k, stride=1, groups=1)
     ops.sum_all(y).backward()
     g = k.grad[0, 0]
     assert g[1, 1] == h * w

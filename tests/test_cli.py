@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -423,11 +424,57 @@ def test_toy_train_smoke(capsys, tmp_path):
 
 
 def test_toy_train_json_output_is_reproducible(capsys):
+    """Both output formats are identical across runs, and the text line
+    carries only the JSON payload's steps, loss and accuracy."""
     args = ["toy-train", "--steps", "2", "--samples", "4", "--size", "32",
-            "--batch-size", "2", "--format", "json"]
-    _, a, _ = run(capsys, *args)
-    _, b, _ = run(capsys, *args)
-    assert a == b
+            "--batch-size", "2", "--format"]
+    outs = {}
+    for fmt in ("json", "text"):
+        _, a, _ = run(capsys, *args, fmt)
+        _, b, _ = run(capsys, *args, fmt)
+        assert a == b, fmt
+        outs[fmt] = a
+    p = json.loads(outs["json"])
+    assert outs["text"] == (
+        f"{p['steps']} steps: final loss {p['final_loss']:.4f}, "
+        f"train accuracy {p['accuracy']:.3f}\n"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.integers(-3, 2),
+    samples=st.integers(-2, 4),
+    lr=st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.05", "1e30"]),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_toy_train_argv_property(steps, samples, lr, fmt):
+    """toy-train at any --steps, --samples and --lr exits 0 with its report,
+    2 with one `error:` line or 3 (a diverging run) with one `numerical
+    error:` line, never with a traceback or a numpy warning; JSON output
+    parses. Values go as --flag=value, so --lr=-inf reaches the finiteness
+    check, not argparse's option parser."""
+    argv = [
+        "toy-train", f"--steps={steps}", f"--samples={samples}", f"--lr={lr}",
+        "--size", "32", "--batch-size", "2", "--format", fmt,
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3) and not caught
+    assert "Traceback" not in err and "Warning" not in err
+    bad = steps < 1 or samples < 1 or not math.isfinite(float(lr))
+    assert (code == 2) == bad
+    if code == 0:
+        assert err == "" and out
+        if fmt == "json":
+            assert json.loads(out)["steps"] == steps
+    else:
+        prefix = "error: " if code == 2 else "numerical error: "
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1
 
 
 def test_ablate_table3_params_strictly_increase(capsys):

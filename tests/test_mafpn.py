@@ -144,7 +144,7 @@ def test_aaf_compositional_oracle():
         y = node(p1, p2, same, deep)
 
     def down_lane(lane, t):
-        z = ops.conv2d(t, lane.down.weight, stride=2, padding=1)
+        z = ops.conv2d(t, lane.down.weight, stride=2)
         bn = lane.bn
         z = ops.batchnorm_infer(z, bn.gamma, bn.beta, bn.running_mean, bn.running_var, bn.eps)
         z = ops.conv2d(z, lane.proj.weight, lane.proj.bias)

@@ -34,7 +34,7 @@ def test_conv_identity_pointwise():
 def test_conv_allones_overlap_counts():
     x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
     w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-    y = ops.conv2d(x, w, stride=1, padding=1, groups=1)
+    y = ops.conv2d(x, w, stride=1, groups=1)
     assert y.data[0, 0, 1, 1] == 9.0
     for i, j in ((0, 0), (0, 2), (2, 0), (2, 2)):
         assert y.data[0, 0, i, j] == 4.0
@@ -85,7 +85,6 @@ def conv_cases(draw):
     return dict(
         batch=draw(st.integers(1, 2)), cin=cin, cout=cout, groups=groups, k=k, h=h, w=w,
         stride=draw(st.sampled_from([1, 2])),
-        padding=draw(st.integers(0, k // 2)),
         seed=draw(st.integers(0, 2**16)),
     )
 
@@ -98,11 +97,8 @@ def test_conv_matches_naive_property(case):
     x = r.standard_normal((case["batch"], cin, case["h"], case["w"])).astype(np.float32)
     w = r.standard_normal((cout, cin // groups, k, k)).astype(np.float32)
     b = r.standard_normal(cout).astype(np.float32)
-    y = ops.conv2d(
-        Tensor(x), Tensor(w), Tensor(b),
-        stride=case["stride"], padding=case["padding"], groups=groups,
-    )
-    ref = naive_conv2d(x, w, b, stride=case["stride"], padding=case["padding"], groups=groups)
+    y = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=case["stride"], groups=groups)
+    ref = naive_conv2d(x, w, b, stride=case["stride"], groups=groups)
     assert y.shape == ref.shape
     np.testing.assert_allclose(y.data, ref, atol=1e-5)
 
@@ -115,21 +111,20 @@ def test_conv_matches_naive_property(case):
     batch=st.integers(1, 3),
     channels=st.integers(1, 6),
     extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
-    pad_frac=st.floats(0, 1),
     with_bias=st.booleans(),
     one_row_blocks=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 def test_depthwise_forward_bitwise_equals_windowed_loop(
-    dtype, k, stride, batch, channels, extra, pad_frac, with_bias, one_row_blocks, seed
+    dtype, k, stride, batch, channels, extra, with_bias, one_row_blocks, seed
 ):
     """The flattened-row depthwise forward gives the windowed per-tap loop's
     output bit for bit (signed zeros included), at stride 1 and 2, in one
     block of rows or in blocks of one row, and restores numpy's ufunc buffer
     size."""
     r = rng(seed)
-    padding = round(pad_frac * (k // 2))
-    h, w = k - 2 * padding + extra[0], k - 2 * padding + extra[1] + 1
+    padding = k // 2
+    h, w = 1 + extra[0], 2 + extra[1]
     x = r.standard_normal((batch, channels, h, w)).astype(dtype)
     x[r.random(x.shape) < 0.2] = -0.0
     wd = r.standard_normal((channels, 1, k, k)).astype(dtype)
@@ -141,7 +136,7 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
             if one_row_blocks:
                 mp.setattr(ops, "_ROW_BLOCK", 1, raising=False)
             y = ops.conv2d(
-                Tensor(x), Tensor(wd), None if b is None else Tensor(b), stride, padding, channels
+                Tensor(x), Tensor(wd), None if b is None else Tensor(b), stride, channels
             )
         assert np.getbufsize() == 12288
     finally:
@@ -164,7 +159,6 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
     batch=st.integers(1, 3),
     channels=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     extra=st.tuples(st.integers(0, 4), st.integers(0, 4)),
-    pad_frac=st.floats(0, 1),
     with_bias=st.booleans(),
     bad_tap=st.sampled_from([None, np.inf, -np.inf, np.nan]),
     one_row_blocks=st.booleans(),
@@ -174,10 +168,17 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
 # where 72 of 81 taps (77 of 81 at stride 2) read only padding. Seed 0 puts
 # the bad tap on such a tap: (7, 0) with batch 2 and 3 channels, (5, 6) with
 # batch 1 and 2 channels.
-@example(np.float32, 9, 1, True, False, 2, (3, 3), (1, 1), 0.45, True, np.nan, False, 0)
-@example(np.float32, 9, 2, True, False, 2, (3, 3), (1, 1), 0.45, False, np.inf, True, 0)
-@example(np.float64, 9, 1, True, False, 1, (2, 2), (1, 1), 0.45, False, -np.inf, False, 0)
-@example(np.float64, 9, 2, True, False, 1, (2, 2), (1, 1), 0.45, True, np.nan, False, 0)
+@example(np.float32, 9, 1, True, False, 2, (3, 3), (1, 1), True, np.nan, False, 0)
+@example(np.float32, 9, 2, True, False, 2, (3, 3), (1, 1), False, np.inf, True, 0)
+@example(np.float64, 9, 1, True, False, 1, (2, 2), (1, 1), False, -np.inf, False, 0)
+@example(np.float64, 9, 2, True, False, 1, (2, 2), (1, 1), True, np.nan, False, 0)
+# The same map under a dense k9 conv: seed 0 puts the NaN on tap (5, 2) at
+# stride 1 and on tap (4, 7) at stride 2, both padding-only, which dx skips.
+@example(np.float32, 9, 1, False, False, 2, (3, 2), (1, 1), True, np.nan, False, 0)
+@example(np.float64, 9, 2, False, False, 1, (2, 3), (1, 1), False, np.nan, False, 0)
+# One input channel makes the dense dx dot a GEMV, whose rounding OpenBLAS
+# can tie to a row's position: gy's rows must stay in (b, h, w) order.
+@example(np.float32, 1, 1, False, False, 2, (1, 3), (0, 2), False, None, False, 0)
 def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     dtype,
     k,
@@ -187,7 +188,6 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     batch,
     channels,
     extra,
-    pad_frac,
     with_bias,
     bad_tap,
     one_row_blocks,
@@ -195,18 +195,17 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
 ):
     """conv2d's output and its x, w and bias gradients equal the windowed
     tap loops with tensordot mixes and the depthwise dx scatter bit for bit:
-    at every padding from 0 to k, in one block of rows or in blocks of one
-    row, on 1x1 maps with one output channel, and with an infinite or NaN
-    kernel tap."""
+    on maps of side 1 to 5, where every k >= 3 has padding-only taps, in one
+    block of rows or in blocks of one row, on 1x1 maps with one output
+    channel, and with an infinite or NaN kernel tap."""
     r = rng(seed)
-    padding = round(pad_frac * k)
+    padding = k // 2
     cin, cout = channels
     if depthwise:
         cout = cin
     elif gemv:
         cout = 1
-    side = max(1, k - 2 * padding)
-    h, w = (side, side) if gemv else (side + extra[0], side + extra[1])
+    h, w = (1, 1) if gemv else (1 + extra[0], 1 + extra[1])
     x = r.standard_normal((batch, cin, h, w)).astype(dtype)
     x[r.random(x.shape) < 0.2] = -0.0
     wd = r.standard_normal((cout, 1 if depthwise else cin, k, k)).astype(dtype)
@@ -224,7 +223,7 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     ):
         if one_row_blocks:
             mp.setattr(ops, "_ROW_BLOCK", 1, raising=False)
-        y = ops.conv2d(xt, wt, bt, stride, padding, cin if depthwise else 1)
+        y = ops.conv2d(xt, wt, bt, stride, cin if depthwise else 1)
         ops.sum_all(ops.mul(y, Tensor(gy))).backward()
         ref = windowed_conv2d_grads(x, wd, b, stride, padding, gy)
     view = UINT_VIEW[dtype]
@@ -244,12 +243,11 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     stride=st.sampled_from([1, 2]),
     h=st.integers(1, 6),
     w=st.integers(1, 6),
-    pad_frac=st.floats(0, 1),
 )
-def test_reading_taps_are_the_windows_holding_an_input_pixel(k, stride, h, w, pad_frac):
+def test_reading_taps_are_the_windows_holding_an_input_pixel(k, stride, h, w):
     """`_reading_taps` lists exactly the taps whose strided window of the
     padded input holds at least one unpadded pixel."""
-    padding = round(pad_frac * k)
+    padding = k // 2
     ho, wo = ops.conv_output_hw(h, w, k, stride, padding)
     assume(ho >= 1 and wo >= 1)
     unpadded = np.pad(np.ones((h, w), dtype=bool), padding)
@@ -259,7 +257,7 @@ def test_reading_taps_are_the_windows_holding_an_input_pixel(k, stride, h, w, pa
         for j in range(k)
         if unpadded[i : i + stride * ho : stride, j : j + stride * wo : stride].any()
     )
-    assert ops._reading_taps(k, stride, ho, wo, h, w, padding) == want
+    assert ops._reading_taps(k, stride, h, w) == want
 
 
 def test_conv_linearity():
@@ -276,7 +274,7 @@ def test_conv_linearity():
 def test_conv_output_shape_formula():
     x = Tensor(np.zeros((1, 2, 11, 13), dtype=np.float32))
     w = Tensor(np.zeros((4, 2, 5, 5), dtype=np.float32))
-    y = ops.conv2d(x, w, stride=2, padding=2)
+    y = ops.conv2d(x, w, stride=2)
     assert y.shape == (1, 4, (11 + 4 - 5) // 2 + 1, (13 + 4 - 5) // 2 + 1)
 
 
