@@ -5,16 +5,35 @@ same names, whatever the code that builds the model looks like: weight files
 (`.mafw`) are keyed by these names, and the RNG draw order decides every
 initial value. Unlike the same-process determinism checks, these digests also
 catch a build that reorders its modules or renames one.
+
+The run goldens pin the bits of whole computations on real shapes: ten toy
+SGD steps (every dense and depthwise conv shape of the toy step, forward and
+backward) and nano's fused and branch outputs at 128. BLAS rounds a product
+by its operands' layout and size, so a conv that is bitwise on the property
+tests' few channels can still change these.
 """
 
 import dataclasses
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
-from mafnet import ToyClassifier, build_model, count_costs, nano_config, toy_config
-from mafnet.cli import _ablate_rows
+from mafnet import (
+    ToyClassifier,
+    build_model,
+    calibrate_bn_stats,
+    count_costs,
+    fuse_model,
+    nano_config,
+    no_grad,
+    toy_config,
+)
+from mafnet.cli import _ablate_rows, main
 from mafnet.model import config_to_dict
+from mafnet.repconv import branch_path
+from mafnet.tensor import Tensor
 
 # (config, enable_saf, enable_aaf) -> (sha256 over state_entries, params @ 640)
 GOLDEN = {
@@ -60,6 +79,22 @@ ABLATE_GOLDEN = {
 }
 
 
+# `maf toy-train --steps 10 --seed 3 --format json` at its default sizes (64
+# samples at 64x64, batch 16): the JSON payload and the sha256 of the
+# `--save-weights` file
+TOY_TRAIN_GOLDEN = (
+    {"accuracy": 0.65625, "final_loss": 0.7054777145385742, "steps": 10},
+    "ea4f7d5589768d6ce1790020239f01ae825a38bfdb49bc67d68eb401dc0cb234",
+)
+
+# nano_config(seed=5), BN statistics from one calibration batch of 8 images
+# at 128, one 1x3x128x128 input: sha256 over the outputs in key order
+NANO128_GOLDEN = {
+    "fused": "3ab0e6b3e3394487ab768d3e9e2996094e88e9ce1dffae95b355678582584090",
+    "branch": "351dd3ac9ec7b65872e7408c7bb49a2951dd218e6a47de496343270305f8804f",
+}
+
+
 def state_digest(model) -> str:
     h = hashlib.sha256()
     for name, arr in model.state_entries():
@@ -97,3 +132,34 @@ def test_ablate_rows_match_golden_configs(preset, seed):
                 want[toggle] = False
             want["neck"][toggle] = False
         assert config_to_dict(cfg) == want, label
+
+
+def test_toy_train_run_matches_golden_bytes(capsys, tmp_path):
+    weights = tmp_path / "toy.mafw"
+    argv = ["toy-train", "--steps", "10", "--seed", "3", "--format", "json"]
+    assert main([*argv, "--save-weights", str(weights)]) == 0
+    payload, digest = TOY_TRAIN_GOLDEN
+    assert json.loads(capsys.readouterr().out) == payload
+    assert hashlib.sha256(weights.read_bytes()).hexdigest() == digest
+
+
+def test_nano_fused_and_branch_outputs_match_golden_digests():
+    rng = np.random.default_rng([5, 640])
+    model = build_model(nano_config(seed=5))
+    calibrate_bn_stats(model, rng, (8, 3, 128, 128), batches=1)
+    model.eval()
+    fuse_model(model)
+    x = Tensor(rng.standard_normal((1, 3, 128, 128)).astype(np.float32))
+
+    def digest():
+        with no_grad():
+            outs, _ = model.forward_taps(x)
+        h = hashlib.sha256()
+        for k in sorted(outs):
+            h.update(outs[k].data.tobytes())
+        return h.hexdigest()
+
+    fused = digest()
+    with branch_path():
+        branch = digest()
+    assert {"fused": fused, "branch": branch} == NANO128_GOLDEN
