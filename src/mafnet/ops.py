@@ -12,14 +12,21 @@ Only the per-tap channel mix depends on the kind: a depthwise tap is a
 per-channel scale, a dense tap one `np.dot` (BLAS) of a channels-last
 (B*H*W, C) reshape. Memory stays flat at one window per tap. The depthwise
 forward walks the same taps over flattened rows instead (`_depthwise_rows`),
-which gives the same bits in far fewer, longer loops. A tap whose window
-holds only zero padding (`_reading_taps`: a large kernel on a small map) is
-skipped in dx, where it would write only the cropped border; in the
-depthwise forward its terms are +-0 (one per-channel sum keeps the NaN of an
-inf or NaN weight), and all such taps share one dw reduce. The deploy path
-runs dense convs through `conv2d_gemm`, one GEMM per call and no backward,
-and SiLU as `silu(x, deploy=True)`, one exp into one fresh buffer and no
-backward; each caller passes its producer's `runs_deploy`.
+which gives the same bits in far fewer, longer loops. The dense forward
+(`_dense_forward`) batches instead: per run of taps, one copy of the run's
+windows and one `np.matmul` against the run's (in, out) matrices, summed in
+tap order from +0. A run holds about `_TAP_BLOCK` elements, so a small map
+takes one run and a large one a few kernel rows or one tap a run. A 1x1
+conv, and a product with a unit dimension, keep one `np.dot` per tap: the
+latter for its bits, as np.dot leaves GEMM there for vector paths that
+np.matmul does not round alike. A tap whose window holds only zero padding
+(`_reading_taps`: a large kernel on a small map) is skipped in dx, where it
+would write only the cropped border; in the depthwise forward its terms are
++-0 (one per-channel sum keeps the NaN of an inf or NaN weight), and all such
+taps share one dw reduce. The deploy path runs dense convs through
+`conv2d_gemm`, one GEMM per call and no backward, and SiLU as
+`silu(x, deploy=True)`, one exp into one fresh buffer and no backward; each
+caller passes its producer's `runs_deploy`.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
@@ -179,6 +186,71 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     return acc.reshape(b, c, h, width)[..., :w]
 
 
+# A run of dense taps, batched into one product, holds about this many window
+# and product elements, so that its buffers stay in cache like a block of
+# `_depthwise_rows`; each run after the first adds into the sum in tap order.
+_TAP_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=256)
+def _tap_runs(k: int, per_run: int) -> tuple:
+    """(rows, cols, first tap, taps) per run, in tap order: as many whole
+    kernel rows as `per_run` taps hold, or one tap a run if no row fits."""
+    rows = per_run // k
+    if rows:
+        return tuple(
+            (slice(i, min(i + rows, k)), slice(0, k), i * k, (min(i + rows, k) - i) * k)
+            for i in range(0, k, rows)
+        )
+    return tuple((slice(i, i + 1), slice(j, j + 1), i * k + j, 1) for i in range(k) for j in range(k))
+
+
+def _dense_forward(xd: np.ndarray, wd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Dense conv forward as channels-last (B*ho*wo, out) rows, summed over
+    the taps in tap order. A k x k conv copies a run of taps' windows out of
+    one strided (k, k, B, ho, wo, C) view of the padded input in one go and
+    multiplies them by the taps' (in, out) matrices in one `np.matmul`. Both
+    operands reach BLAS as C arrays, as np.dot's copies of the per-tap views
+    did: OpenBLAS rounds a product by its operands' layout. A run of several
+    taps is reduced from an explicit +0, as in a `zeros += p` loop (0 + -0 is
+    +0); a single product needs none, since BLAS sums from +0 itself and never
+    returns -0 (the bitwise property test draws -0 inputs and zero weights
+    and compares signed zeros)."""
+    b, cin = xd.shape[:2]
+    out_c, _, k, _ = wd.shape
+    n = b * ho * wo
+    xp = _pad_hw(xd, k // 2)
+    if k == 1 or min(n, cin, out_c) < 2 or not wd.flags.c_contiguous:
+        # One np.dot per tap. A 1x1 conv has one tap, nothing to batch. The
+        # rest is for bits, not speed: with a unit (or empty) dimension np.dot
+        # leaves GEMM for its vector paths, which np.matmul does not round
+        # alike (one skips an inf weight times 0, the other gives NaN), and the
+        # taps of a weight that is not C-ordered may reach BLAS in another
+        # layout. No layer runs such a product.
+        out = None
+        for i, j, win in _taps(k, stride, ho, wo):
+            p = np.dot(_channels_last(xp[win]), wd[:, :, i, j].T)
+            if out is None:
+                out = p
+            else:
+                out += p
+    else:
+        # xp is padded by k//2 >= 1, so it is a fresh C array
+        sb, sc, sh, sw = xp.strides
+        strides = (sh, sw, sb, stride * sh, stride * sw, sc)
+        windows = np.ndarray((k, k, b, ho, wo, cin), xp.dtype, xp, 0, strides)
+        taps = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(k * k, cin, out_c)
+        for rows, cols, t0, t in _tap_runs(k, max(1, _TAP_BLOCK // (n * (cin + out_c)))):
+            wins = np.ascontiguousarray(windows[rows, cols]).reshape(t, n, cin)
+            prod = np.matmul(wins, taps[t0 : t0 + t])
+            if t0 == 0:
+                out = np.add.reduce(prod, axis=0, initial=0) if t > 1 else prod[0]
+            else:
+                for p in prod:
+                    out += p
+    return out
+
+
 def _conv_dx(gy: np.ndarray, wd: np.ndarray, stride: int, x_shape: tuple, depthwise: bool):
     """dx of a dense or depthwise conv, scattered tap by tap into a padded
     (H, W, B, C) buffer. Only a tap's mix of gy depends on the kind: a
@@ -212,7 +284,10 @@ def conv2d(
     stride: int = 1,
     groups: int = 1,
 ) -> Tensor:
-    """2-D cross-correlation, padded by k//2 ("same" at stride 1)."""
+    """2-D cross-correlation, padded by k//2 ("same" at stride 1). A dense
+    forward runs one batched GEMM per run of taps and sums the products in
+    tap order from +0, bit for bit as one `np.dot` per tap; a product with a
+    unit dimension keeps that per-tap dot, since np.matmul rounds it apart."""
     padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, groups)
 
     xd, wd = x.data, w.data
@@ -226,10 +301,7 @@ def conv2d(
         # one; each kept element sees the same taps in the same order.
         out = _depthwise_rows(xd, wd)[..., ::stride, ::stride]
     else:
-        xp = _pad_hw(xd, padding)
-        out = np.zeros((b, ho, wo, out_c), dtype=xd.dtype)
-        for i, j, win in taps:
-            out += np.dot(_channels_last(xp[win]), wd[:, :, i, j].T).reshape(out.shape)
+        out = _dense_forward(xd, wd, stride, ho, wo).reshape(b, ho, wo, out_c)
         out = out.transpose(0, 3, 1, 2)
     out = np.ascontiguousarray(out)
     if bias is not None:

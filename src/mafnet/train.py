@@ -131,7 +131,8 @@ def train_toy(
 ) -> ToyTrainResult:
     """Run plain SGD; returns the loss curve and final training-set accuracy.
 
-    Raises NumericalError naming the step if the loss diverges to NaN/Inf.
+    Raises NumericalError naming the step if the loss diverges to NaN/Inf,
+    or the last step if the final accuracy pass meets a non-finite value.
     """
     if steps < 1:
         raise ConfigError(f"train_toy: steps must be >= 1, got {steps}")
@@ -163,7 +164,12 @@ def train_toy(
             log_fn(step, loss_val)
     result.steps = steps
     result.final_loss = result.losses[-1]
-    result.accuracy = evaluate_accuracy(model, ds)
+    try:
+        result.accuracy = evaluate_accuracy(model, ds)
+    except NumericalError as e:
+        raise NumericalError(
+            f"train_toy: diverged in the final accuracy evaluation after step {steps - 1}: {e}"
+        ) from None
     return result
 
 

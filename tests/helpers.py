@@ -10,8 +10,10 @@ The tensordot tap mixes and the windowed depthwise dx scatter are the
 original bodies of ``ops._dense``, ``ops._dense_reduce`` and the depthwise
 input gradient; ``windowed_conv2d_grads`` runs them in the original tap loops
 as the bitwise reference for conv2d's forward and gradients.
-``ops._dense`` itself is gone: its body lives inline in the dense forward
-only, and ``ops._conv_dx`` scatters the input gradient of both kinds.
+``ops._dense`` itself is gone: ``ops._dense_forward`` multiplies a run of
+taps in one batched product and sums the products in tap order, and
+``ops._conv_dx`` scatters the input gradient of both kinds. The per-tap
+tensordot loop stays the reference for both.
 """
 
 import numpy as np

@@ -477,6 +477,21 @@ def test_toy_train_argv_property(steps, samples, lr, fmt):
         assert out == "" and err.startswith(prefix) and err.count("\n") == 1
 
 
+def test_toy_train_divergence_in_final_accuracy_pass_names_train_toy(capsys):
+    """A step that survives training but leaves non-finite weights fails in
+    the final accuracy pass: exit 3, with train_toy and its last step named."""
+    code, out, err = run(
+        capsys,
+        "toy-train", "--steps", "1", "--samples", "4", "--size", "32",
+        "--batch-size", "2", "--lr", "1e30",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "numerical error: train_toy: diverged in the final accuracy evaluation after step 0: "
+    )
+    assert err.count("\n") == 1
+
+
 def test_ablate_table3_params_strictly_increase(capsys):
     code, out, _ = run(capsys, "ablate", "--preset", "table3", "--format", "json")
     assert code == 0

@@ -162,23 +162,27 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
     with_bias=st.booleans(),
     bad_tap=st.sampled_from([None, np.inf, -np.inf, np.nan]),
     one_row_blocks=st.booleans(),
+    run_rows=st.sampled_from([None, 0, 1, 2]),
     seed=st.integers(0, 2**16),
 )
 # The toy trunk's stride-32 geometry: a k9 kernel, padding 4, on a 2x2 map,
 # where 72 of 81 taps (77 of 81 at stride 2) read only padding. Seed 0 puts
 # the bad tap on such a tap: (7, 0) with batch 2 and 3 channels, (5, 6) with
 # batch 1 and 2 channels.
-@example(np.float32, 9, 1, True, False, 2, (3, 3), (1, 1), True, np.nan, False, 0)
-@example(np.float32, 9, 2, True, False, 2, (3, 3), (1, 1), False, np.inf, True, 0)
-@example(np.float64, 9, 1, True, False, 1, (2, 2), (1, 1), False, -np.inf, False, 0)
-@example(np.float64, 9, 2, True, False, 1, (2, 2), (1, 1), True, np.nan, False, 0)
+@example(np.float32, 9, 1, True, False, 2, (3, 3), (1, 1), True, np.nan, False, None, 0)
+@example(np.float32, 9, 2, True, False, 2, (3, 3), (1, 1), False, np.inf, True, None, 0)
+@example(np.float64, 9, 1, True, False, 1, (2, 2), (1, 1), False, -np.inf, False, None, 0)
+@example(np.float64, 9, 2, True, False, 1, (2, 2), (1, 1), True, np.nan, False, None, 0)
 # The same map under a dense k9 conv: seed 0 puts the NaN on tap (5, 2) at
 # stride 1 and on tap (4, 7) at stride 2, both padding-only, which dx skips.
-@example(np.float32, 9, 1, False, False, 2, (3, 2), (1, 1), True, np.nan, False, 0)
-@example(np.float64, 9, 2, False, False, 1, (2, 3), (1, 1), False, np.nan, False, 0)
+@example(np.float32, 9, 1, False, False, 2, (3, 2), (1, 1), True, np.nan, False, None, 0)
+@example(np.float64, 9, 2, False, False, 1, (2, 3), (1, 1), False, np.nan, False, None, 0)
+# A 1x1 map at batch 1 and one input channel: every product has a unit
+# dimension, where np.dot leaves GEMM and skips 0 * inf; np.matmul gives NaN.
+@example(np.float32, 3, 1, False, False, 1, (1, 2), (0, 0), False, np.inf, False, None, 0)
 # One input channel makes the dense dx dot a GEMV, whose rounding OpenBLAS
 # can tie to a row's position: gy's rows must stay in (b, h, w) order.
-@example(np.float32, 1, 1, False, False, 2, (1, 3), (0, 2), False, None, False, 0)
+@example(np.float32, 1, 1, False, False, 2, (1, 3), (0, 2), False, None, False, None, 0)
 def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     dtype,
     k,
@@ -191,13 +195,15 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     with_bias,
     bad_tap,
     one_row_blocks,
+    run_rows,
     seed,
 ):
     """conv2d's output and its x, w and bias gradients equal the windowed
     tap loops with tensordot mixes and the depthwise dx scatter bit for bit:
     on maps of side 1 to 5, where every k >= 3 has padding-only taps, in one
-    block of rows or in blocks of one row, on 1x1 maps with one output
-    channel, and with an infinite or NaN kernel tap."""
+    block of rows or in blocks of one row, with the dense taps in one run,
+    one tap a run or one or two kernel rows a run, on 1x1 maps with one
+    output channel, and with an infinite or NaN kernel tap."""
     r = rng(seed)
     padding = k // 2
     cin, cout = channels
@@ -223,6 +229,10 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
     ):
         if one_row_blocks:
             mp.setattr(ops, "_ROW_BLOCK", 1, raising=False)
+        if run_rows is not None:
+            # a budget of run_rows kernel rows of taps; 0 gives one tap a run
+            per_tap = batch * ho * wo * (cin + cout)
+            mp.setattr(ops, "_TAP_BLOCK", max(1, run_rows * k * per_tap), raising=False)
         y = ops.conv2d(xt, wt, bt, stride, cin if depthwise else 1)
         ops.sum_all(ops.mul(y, Tensor(gy))).backward()
         ref = windowed_conv2d_grads(x, wd, b, stride, padding, gy)
@@ -235,6 +245,50 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
         want = want if name == "out" else np.zeros_like(want) + want
         assert g.shape == want.shape, name
         np.testing.assert_array_equal(g.view(view), want.view(view), err_msg=name)
+
+
+# Dense convs of one toy SGD step (batch 16, float32), as (input shape, out
+# channels, kernel, stride): the stride-2 3x3 convs, whose taps run one a run
+# on the large maps and in one or a few runs on the small ones, and the 1x1
+# convs with at least 32 input channels, where OpenBLAS rounds a product by
+# its operands' layout. Last, two batch-1 convs like those of nano's branch
+# path: a 1x1 conv, whose window is a Fortran-order view of the input, and a
+# 3x3 stride-2 conv with 32 input channels, all taps in one run.
+TOY_DENSE_CONVS = [
+    ((16, 3, 64, 64), 8, 3, 2),
+    ((16, 8, 32, 32), 8, 3, 2),
+    ((16, 8, 16, 16), 16, 3, 2),
+    ((16, 16, 8, 8), 16, 3, 2),
+    ((16, 16, 8, 8), 24, 3, 2),
+    ((16, 24, 4, 4), 24, 3, 2),
+    ((16, 24, 4, 4), 32, 3, 2),
+    ((16, 36, 4, 4), 24, 1, 1),
+    ((16, 96, 4, 4), 24, 1, 1),
+    ((16, 96, 2, 2), 32, 1, 1),
+    ((16, 48, 8, 8), 16, 1, 1),
+    ((16, 72, 1, 1), 2, 1, 1),
+    ((1, 64, 4, 4), 16, 1, 1),
+    ((1, 32, 8, 8), 16, 3, 2),
+]
+
+
+@pytest.mark.parametrize("shape, cout, k, stride", TOY_DENSE_CONVS, ids=str)
+def test_dense_conv_bitwise_equals_windowed_loops_on_toy_shapes(shape, cout, k, stride):
+    """On the toy step's own dense shapes, conv2d's output and gradients equal
+    the per-tap tensordot loops bit for bit, signed zeros included."""
+    r = rng(sum(shape) + cout)
+    x = r.standard_normal(shape).astype(np.float32)
+    x[r.random(x.shape) < 0.2] = -0.0
+    wd = (r.standard_normal((cout, shape[1], k, k)) / np.sqrt(shape[1] * k * k)).astype(np.float32)
+    wd[r.random(wd.shape) < 0.2] = 0.0
+    ho, wo = ops.conv_output_hw(shape[2], shape[3], k, stride, k // 2)
+    gy = r.standard_normal((shape[0], cout, ho, wo)).astype(np.float32)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(wd, requires_grad=True)
+    y = ops.conv2d(xt, wt, stride=stride)
+    ops.sum_all(ops.mul(y, Tensor(gy))).backward()
+    out, dx, dw, _ = windowed_conv2d_grads(x, wd, None, stride, k // 2, gy)
+    for name, g, want in (("out", y.data, out), ("dx", xt.grad, dx + 0), ("dw", wt.grad, dw + 0)):
+        np.testing.assert_array_equal(g.view(np.uint32), want.view(np.uint32), err_msg=name)
 
 
 @settings(max_examples=200, deadline=None)
