@@ -222,11 +222,11 @@ def _dense_forward(xd: np.ndarray, wd: np.ndarray, stride: int, ho: int, wo: int
     xp = _pad_hw(xd, k // 2)
     if k == 1 or min(n, cin, out_c) < 2 or not wd.flags.c_contiguous:
         # One np.dot per tap. A 1x1 conv has one tap, nothing to batch. The
-        # rest is for bits, not speed: with a unit (or empty) dimension np.dot
-        # leaves GEMM for its vector paths, which np.matmul does not round
-        # alike (one skips an inf weight times 0, the other gives NaN), and the
-        # taps of a weight that is not C-ordered may reach BLAS in another
-        # layout. No layer runs such a product.
+        # other two cases are here for bits, not speed, and no layer runs
+        # them: with a unit (or empty) dimension np.dot leaves GEMM for its
+        # vector paths, which np.matmul does not round alike (one skips an inf
+        # weight times 0, the other gives NaN), and the taps of a weight that
+        # is not C-ordered may reach BLAS in another layout.
         out = None
         for i, j, win in _taps(k, stride, ho, wo):
             p = np.dot(_channels_last(xp[win]), wd[:, :, i, j].T)

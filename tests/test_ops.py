@@ -232,7 +232,7 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
         if run_rows is not None:
             # a budget of run_rows kernel rows of taps; 0 gives one tap a run
             per_tap = batch * ho * wo * (cin + cout)
-            mp.setattr(ops, "_TAP_BLOCK", max(1, run_rows * k * per_tap), raising=False)
+            mp.setattr(ops, "_TAP_BLOCK", max(1, run_rows * k * per_tap))
         y = ops.conv2d(xt, wt, bt, stride, cin if depthwise else 1)
         ops.sum_all(ops.mul(y, Tensor(gy))).backward()
         ref = windowed_conv2d_grads(x, wd, b, stride, padding, gy)
