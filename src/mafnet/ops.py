@@ -11,9 +11,11 @@ scatters mix(gy, tap weights transposed) into the windows of one padded
 Only the per-tap channel mix depends on the kind: a depthwise tap is a
 per-channel scale, a dense tap one `np.dot` (BLAS) of a channels-last
 (B*H*W, C) reshape. Memory stays flat at one window per tap. The depthwise
-forward walks the same taps over flattened rows instead (`_depthwise_rows`),
-which gives the same bits in far fewer, longer loops. The dense forward
-(`_dense_forward`) batches instead: per run of taps, one copy of the run's
+forward (`_depthwise_rows`) reads the same taps from one strided view of
+flattened padded rows, at stride 1 or 2: a small map takes one product per
+run of taps, summed in tap order from +0, and a large one a tap at a time,
+with the same bits as the windowed loop in far fewer calls. The dense forward
+(`_dense_forward`) batches as well: per run of taps, one copy of the run's
 windows and one `np.matmul` against the run's (in, out) matrices, summed in
 tap order from +0. A run holds about `_TAP_BLOCK` elements, so a small map
 takes one run and a large one a few kernel rows or one tap a run. A 1x1
@@ -116,7 +118,8 @@ def _taps(k: int, stride: int, ho: int, wo: int) -> tuple:
 @functools.lru_cache(maxsize=256)
 def _reading_taps(k: int, stride: int, h: int, w: int) -> tuple:
     """Indices i * k + j of the taps whose window holds at least one unpadded
-    pixel of an h x w input; every other tap reads only zero padding."""
+    pixel of an h x w input; every other tap reads only zero padding. They
+    form one rectangle of whole kernel rows and columns."""
     p = k // 2
     ho, wo = conv_output_hw(h, w, k, stride, p)
     rows = [any(p <= i + stride * o < p + h for o in range(ho)) for i in range(k)]
@@ -143,47 +146,95 @@ def _dense_reduce(gy, xs):
 
 
 # Rows per block of `_depthwise_rows` hold about this many elements, so that
-# a block's accumulator and the input rows it reads stay in a core's L2 cache.
+# a block's accumulator and the input rows it reads stay in a core's L2 cache;
+# a run of taps' product over a block holds at most as many.
 _ROW_BLOCK = 1 << 16
+# A tap over a block of at most this many elements costs more in its two
+# ufunc calls than in arithmetic, so such a block batches its taps in runs.
+# A larger block takes one tap a run, where a run's product would only add a
+# pass over memory (numpy 2.4: runs were 1.4-3.5x faster on 8x8 maps at
+# 320-1792 elements a block, 5-28% slower on 2x2 maps at 4096-16384, and
+# made the toy SGD step ~1% slower).
+_RUN_BLOCK = 1 << 11
 
 
-def _depthwise_rows(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
-    """Stride-1 depthwise forward with each (batch, channel) map flattened to
-    one row. On an (h, padded width) output grid the window of tap (i, j) is
-    one contiguous run of the flat padded input, starting at i * width + j;
-    the grid columns past w are discarded. Every kept element sees the same
-    multiplies and adds, in the same tap order, as in the windowed loop."""
+def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
+    """Depthwise forward with each (batch, channel) map flattened to one row
+    of the padded input. Tap (i, j) reads element i * width + j of a row plus
+    an offset per output pixel: at stride 1, on an (h, padded width) grid,
+    one contiguous run, whose grid columns past w are discarded; at stride 2,
+    the (ho, wo) grid, stepping two rows and two columns. One strided
+    (kernel rows, kernel cols, B*C, grid) view holds the windows of the live
+    taps (`_reading_taps`), a rectangle of the kernel. Blocks of `_RUN_BLOCK`
+    elements or fewer cut its rows into runs, as many as fit `_ROW_BLOCK`
+    elements of product; larger blocks, and every map of the toy and 640
+    models, take one tap a run. A run's product is C-ordered; the first run
+    is summed along its leading axis from +0 and later ones add tap by tap.
+    So every kept element sees the same multiplies and adds, in the same tap
+    order, as in the windowed loop."""
     b, c, h, w = xd.shape
     k = wd.shape[2]
     p = k // 2
     width = w + 2 * p
-    n = h * width
-    # One spare bottom row: the last tap's run ends k - 1 past the padding.
+    ho, wo = conv_output_hw(h, w, k, stride, p)
+    bc, item = b * c, xd.itemsize
+    # One spare bottom row: the last tap's run at stride 1 ends k - 1 past
+    # the padding.
     height = h + 2 * p + 1
-    xp = np.zeros((b * c, height * width), dtype=xd.dtype)
+    xp = np.zeros((bc, height * width), dtype=xd.dtype)
     xp.reshape(b, c, height, width)[:, :, p : p + h, p : p + w] = xd
-    taps = np.tile(wd.reshape(c, k * k), (b, 1))
-    live = _reading_taps(k, 1, h, w)
-    acc = np.zeros((b * c, n), dtype=xd.dtype)
-    rows = max(1, _ROW_BLOCK // n)
-    # Under numpy's default 8192-element ufunc buffer, these ufuncs over blocks
-    # of short rows ran 2-3x slower on the 20x20 and 40x40 maps (numpy 2.4).
-    # They cast nothing, so the buffer size changes no result bit.
-    bufsize = np.setbufsize(16)
+    # the output grid's row: padded width, or wo at stride 2
+    row = width if stride == 1 else wo
+    n = ho * row
+    grid, steps = ((n,), (item,)) if stride == 1 else ((ho, wo), (2 * width * item, 2 * item))
+    ones = (1,) * len(grid)
+    live = _reading_taps(k, stride, h, w)
+    (i0, j0), (i1, j1) = divmod(live[0], k), divmod(live[-1], k)
+    nr, nc = i1 - i0 + 1, j1 - j0 + 1
+    # Built over all k x k taps from offset 0, which numpy accepts for an
+    # empty batch too, then cut to the live rectangle.
+    strides = (width * item, item, xp.strides[0]) + steps
+    windows = np.ndarray((k, k, bc) + grid, xp.dtype, xp, 0, strides)[i0 : i1 + 1, j0 : j1 + 1]
+    taps = np.repeat(wd.reshape(1, c, k * k), b, axis=0).reshape(bc, k * k).T
+    wt = taps.reshape((k, k, bc) + ones)[i0 : i1 + 1, j0 : j1 + 1]
+    rows = max(1, min(bc, _ROW_BLOCK // n))
+    run = min(nr, _ROW_BLOCK // (rows * n) // nc) if rows * n <= _RUN_BLOCK else 0
+    acc = np.zeros((bc,) + grid, dtype=xd.dtype)
+    # Under numpy's default 8192-element ufunc buffer, these ufuncs over
+    # blocks of short rows ran 2-3x slower on the 20x20 and 40x40 maps, and a
+    # run's product 2x slower on 8x8 ones (numpy 2.4). At stride 2, whose
+    # grid steps over every other element, the default buffer ran a run's
+    # product faster (k7 on 2x4x8x8: 17 against 28 us). These ufuncs cast
+    # nothing, so the buffer size changes no result bit.
+    bufsize = np.setbufsize(16) if stride == 1 else None
     try:
-        for r in range(0, b * c, rows):
-            a, xr, wr = acc[r : r + rows], xp[r : r + rows], taps[r : r + rows]
-            for t in live:
-                start = t // k * width + t % k
-                a += wr[:, t, None] * xr[:, start : start + n]
+        for r in range(0, bc, rows):
+            a, wr, xr = acc[r : r + rows], wt[:, :, r : r + rows], windows[:, :, r : r + rows]
+            if run * nc < 2:
+                for i in range(nr):
+                    for j in range(nc):
+                        a += wr[i, j] * xr[i, j]
+            else:
+                for i in range(0, nr, run):
+                    # C order: the default K order follows the windows'
+                    # strides, which at stride 2 would put the tap columns
+                    # innermost and have the reduce sum them pairwise.
+                    prod = np.multiply(wr[i : i + run], xr[i : i + run], order="C")
+                    prod = prod.reshape((-1,) + prod.shape[2:])
+                    if i:
+                        for q in prod:
+                            a += q
+                    else:
+                        np.add.reduce(prod, axis=0, out=a, initial=0)
     finally:
-        np.setbufsize(bufsize)
+        if bufsize is not None:
+            np.setbufsize(bufsize)
     if len(live) < k * k:
         # A padding-only tap adds w * 0: +-0, which changes no bit of an
         # accumulator that starts at +0 and so never holds -0, or NaN to every
         # output of its channel when w is inf or NaN. One sum per channel does.
-        acc += (np.delete(taps, live, axis=1) * 0).sum(axis=1)[:, None]
-    return acc.reshape(b, c, h, width)[..., :w]
+        acc += (np.delete(taps, live, axis=0) * 0).sum(axis=0).reshape((bc,) + ones)
+    return acc.reshape(b, c, ho, row)[..., :wo]
 
 
 # A run of dense taps, batched into one product, holds about this many window
@@ -297,9 +348,7 @@ def conv2d(
     taps = _taps(k, stride, ho, wo)
 
     if depthwise:
-        # A stride-2 output keeps every other row and column of the stride-1
-        # one; each kept element sees the same taps in the same order.
-        out = _depthwise_rows(xd, wd)[..., ::stride, ::stride]
+        out = _depthwise_rows(xd, wd, stride)
     else:
         out = _dense_forward(xd, wd, stride, ho, wo).reshape(b, ho, wo, out_c)
         out = out.transpose(0, 3, 1, 2)

@@ -112,16 +112,25 @@ def test_conv_matches_naive_property(case):
     channels=st.integers(1, 6),
     extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
     with_bias=st.booleans(),
-    one_row_blocks=st.booleans(),
+    bad_tap=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+    budget=st.sampled_from([None, "tap", "row"]),
     seed=st.integers(0, 2**16),
 )
+# A 5x2 map at stride 2: numpy's default K-ordered product would put the tap
+# columns innermost, and the reduce would sum them pairwise.
+@example(np.float32, 7, 2, 1, 5, (4, 0), False, None, None, 0)
+# A 2x2 map under a k9 kernel: seed 9 puts the NaN on tap (3, 3), whose
+# window reads the input at stride 1 but only padding at stride 2.
+@example(np.float32, 9, 2, 1, 2, (1, 0), False, np.nan, None, 9)
 def test_depthwise_forward_bitwise_equals_windowed_loop(
-    dtype, k, stride, batch, channels, extra, with_bias, one_row_blocks, seed
+    dtype, k, stride, batch, channels, extra, with_bias, bad_tap, budget, seed
 ):
     """The flattened-row depthwise forward gives the windowed per-tap loop's
-    output bit for bit (signed zeros included), at stride 1 and 2, in one
-    block of rows or in blocks of one row, and restores numpy's ufunc buffer
-    size."""
+    output bit for bit (signed zeros included), at stride 1 and 2, with an
+    infinite or NaN kernel tap, under three budgets: as set (one block of
+    rows, the live taps in one run or a few kernel rows a run), one row a
+    block and one tap a run, or one kernel row of live taps a run. It
+    restores numpy's ufunc buffer size."""
     r = rng(seed)
     padding = k // 2
     h, w = 1 + extra[0], 2 + extra[1]
@@ -129,19 +138,31 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
     x[r.random(x.shape) < 0.2] = -0.0
     wd = r.standard_normal((channels, 1, k, k)).astype(dtype)
     wd[r.random(wd.shape) < 0.2] = 0.0
+    if bad_tap is not None:
+        wd[tuple(r.integers(0, n) for n in wd.shape)] = bad_tap
     b = r.standard_normal(channels).astype(dtype) if with_bias else None
+    ho, wo = ops.conv_output_hw(h, w, k, stride, padding)
+    # elements of one (batch, channel) row of the output grid
+    n = ho * (w + 2 * padding) if stride == 1 else ho * wo
     bufsize = np.setbufsize(12288)  # a value no code sets, to see it restored
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            if one_row_blocks:
-                mp.setattr(ops, "_ROW_BLOCK", 1, raising=False)
+        with pytest.MonkeyPatch.context() as mp, using(checked=False), np.errstate(
+            invalid="ignore", over="ignore"
+        ):
+            if budget == "tap":
+                mp.setattr(ops, "_ROW_BLOCK", 1)
+            elif budget == "row":
+                live = ops._reading_taps(k, stride, h, w)
+                cols = live[-1] % k - live[0] % k + 1
+                mp.setattr(ops, "_ROW_BLOCK", cols * batch * channels * n)
+                mp.setattr(ops, "_RUN_BLOCK", batch * channels * n)
             y = ops.conv2d(
                 Tensor(x), Tensor(wd), None if b is None else Tensor(b), stride, channels
             )
+            ref = windowed_depthwise(x, wd, padding, stride)
         assert np.getbufsize() == 12288
     finally:
         np.setbufsize(bufsize)
-    ref = windowed_depthwise(x, wd, padding, stride)
     if b is not None:
         ref += b[None, :, None, None]
     assert y.shape == ref.shape and y.data.flags.c_contiguous
@@ -228,7 +249,7 @@ def test_conv_forward_and_grads_bitwise_equal_windowed_loops(
         invalid="ignore", over="ignore"
     ):
         if one_row_blocks:
-            mp.setattr(ops, "_ROW_BLOCK", 1, raising=False)
+            mp.setattr(ops, "_ROW_BLOCK", 1)
         if run_rows is not None:
             # a budget of run_rows kernel rows of taps; 0 gives one tap a run
             per_tap = batch * ho * wo * (cin + cout)
@@ -300,7 +321,9 @@ def test_dense_conv_bitwise_equals_windowed_loops_on_toy_shapes(shape, cout, k, 
 )
 def test_reading_taps_are_the_windows_holding_an_input_pixel(k, stride, h, w):
     """`_reading_taps` lists exactly the taps whose strided window of the
-    padded input holds at least one unpadded pixel."""
+    padded input holds at least one unpadded pixel, and they form one
+    rectangle of whole kernel rows and columns, the one strided view of
+    `_depthwise_rows`."""
     padding = k // 2
     ho, wo = ops.conv_output_hw(h, w, k, stride, padding)
     assume(ho >= 1 and wo >= 1)
@@ -312,6 +335,11 @@ def test_reading_taps_are_the_windows_holding_an_input_pixel(k, stride, h, w):
         if unpadded[i : i + stride * ho : stride, j : j + stride * wo : stride].any()
     )
     assert ops._reading_taps(k, stride, h, w) == want
+    rows, cols = sorted({t // k for t in want}), sorted({t % k for t in want})
+    rectangle = tuple(
+        i * k + j for i in range(rows[0], rows[-1] + 1) for j in range(cols[0], cols[-1] + 1)
+    )
+    assert want == rectangle
 
 
 def test_conv_linearity():

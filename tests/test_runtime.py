@@ -164,6 +164,9 @@ def test_tracer_patch_points_see_every_call(monkeypatch):
 
 
 def test_gradcheck_looks_up_no_grad_at_call_time(monkeypatch):
+    """`check_gradients` enters `gradcheck.no_grad()` once per finite-difference
+    evaluation: two per leaf element, the count the traced benchmark's
+    `fd evals == 2 x leaf elements` check reads."""
     entered = []
     original = gradcheck.no_grad
 
@@ -173,4 +176,6 @@ def test_gradcheck_looks_up_no_grad_at_call_time(monkeypatch):
 
     monkeypatch.setattr(gradcheck, "no_grad", counting)
     ok, _ = gradcheck.run_gradcheck(["silu"])
-    assert ok and entered
+    build = next(b for family, _, b in gradcheck.CHECKS if family == "silu")
+    _, arrays = build(np.random.default_rng(0))
+    assert ok and len(entered) == 2 * sum(a.size for a in arrays.values())
