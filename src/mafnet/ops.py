@@ -165,10 +165,10 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
     one contiguous run, whose grid columns past w are discarded; at stride 2,
     the (ho, wo) grid, stepping two rows and two columns. One strided
     (kernel rows, kernel cols, B*C, grid) view holds the windows of the live
-    taps (`_reading_taps`), a rectangle of the kernel. Blocks of `_RUN_BLOCK`
-    elements or fewer cut its rows into runs, as many as fit `_ROW_BLOCK`
-    elements of product; larger blocks, and every map of the toy and 640
-    models, take one tap a run. A run's product is C-ordered; the first run
+    taps (`_reading_taps`), a rectangle of the kernel. A block of at most
+    `_RUN_BLOCK` elements cuts the rectangle's rows into runs, as many as fit
+    `_ROW_BLOCK` elements of product; larger blocks, among them every map of
+    the toy and 640 models, take one tap a run. A run's product is C-ordered; the first run
     is summed along its leading axis from +0 and later ones add tap by tap.
     So every kept element sees the same multiplies and adds, in the same tap
     order, as in the windowed loop."""
@@ -218,7 +218,10 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
                 for i in range(0, nr, run):
                     # C order: the default K order follows the windows'
                     # strides, which at stride 2 would put the tap columns
-                    # innermost and have the reduce sum them pairwise.
+                    # innermost and have the reduce sum them pairwise. numpy
+                    # also sums pairwise a reduce with a single output and 8
+                    # or more terms; a one-element block has at most 4 live
+                    # taps (stride 2 on a map of at most 2x2).
                     prod = np.multiply(wr[i : i + run], xr[i : i + run], order="C")
                     prod = prod.reshape((-1,) + prod.shape[2:])
                     if i:
