@@ -12,9 +12,9 @@ Only the per-tap channel mix depends on the kind: a depthwise tap is a
 per-channel scale, a dense tap one `np.dot` (BLAS) of a channels-last
 (B*H*W, C) reshape. Memory stays flat at one window per tap. The depthwise
 forward (`_depthwise_rows`) reads the same taps from one strided view of
-flattened padded rows, at stride 1 or 2: a small map takes one product per
-run of taps, summed in tap order from +0, and a large one a tap at a time,
-with the same bits as the windowed loop in far fewer calls. The dense forward
+flattened padded rows, at stride 1 or 2: a small map takes one product of
+all its live taps, summed in tap order from +0, and a large one a tap at a
+time, with the same bits as the windowed loop in far fewer calls. The dense forward
 (`_dense_forward`) batches as well: per run of taps, one copy of the run's
 windows and one `np.matmul` against the run's (in, out) matrices, summed in
 tap order from +0. A run holds about `_TAP_BLOCK` elements, so a small map
@@ -146,14 +146,14 @@ def _dense_reduce(gy, xs):
 
 
 # Rows per block of `_depthwise_rows` hold about this many elements, so that
-# a block's accumulator and the input rows it reads stay in a core's L2 cache;
-# a run of taps' product over a block holds at most as many.
+# a block's accumulator and the input rows it reads stay in a core's L2 cache.
 _ROW_BLOCK = 1 << 16
 # A tap over a block of at most this many elements costs more in its two
-# ufunc calls than in arithmetic, so such a block batches its taps in runs.
-# A larger block takes one tap a run, where a run's product would only add a
-# pass over memory (numpy 2.4: runs were 1.4-3.5x faster on 8x8 maps at
-# 320-1792 elements a block, 5-28% slower on 2x2 maps at 4096-16384, and
+# ufunc calls than in arithmetic, so such a block multiplies all its live
+# taps in one product (at most 81 x 2^11 elements, 1.3 MB as float64). A
+# larger block adds one tap at a time, where the product would only add a
+# pass over memory (numpy 2.4: one product was 1.4-3.5x faster on 8x8 maps
+# at 320-1792 elements a block, 5-28% slower on 2x2 maps at 4096-16384, and
 # made the toy SGD step ~1% slower).
 _RUN_BLOCK = 1 << 11
 
@@ -166,11 +166,10 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
     the (ho, wo) grid, stepping two rows and two columns. One strided
     (kernel rows, kernel cols, B*C, grid) view holds the windows of the live
     taps (`_reading_taps`), a rectangle of the kernel. A block of at most
-    `_RUN_BLOCK` elements cuts the rectangle's rows into runs, as many as fit
-    `_ROW_BLOCK` elements of product; larger blocks, among them every map of
-    the toy and 640 models, take one tap a run. A run's product is C-ordered; the first run
-    is summed along its leading axis from +0 and later ones add tap by tap.
-    So every kept element sees the same multiplies and adds, in the same tap
+    `_RUN_BLOCK` elements multiplies all its live taps in one C-ordered
+    product and sums it along its leading axis from +0; larger blocks, among
+    them every map of the toy and 640 models, add one tap at a time. So
+    every kept element sees the same multiplies and adds, in the same tap
     order, as in the windowed loop."""
     b, c, h, w = xd.shape
     k = wd.shape[2]
@@ -186,7 +185,10 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
     # the output grid's row: padded width, or wo at stride 2
     row = width if stride == 1 else wo
     n = ho * row
-    grid, steps = ((n,), (item,)) if stride == 1 else ((ho, wo), (2 * width * item, 2 * item))
+    if stride == 1:
+        grid, steps = (n,), (item,)
+    else:
+        grid, steps = (ho, wo), (stride * width * item, stride * item)
     ones = (1,) * len(grid)
     live = _reading_taps(k, stride, h, w)
     (i0, j0), (i1, j1) = divmod(live[0], k), divmod(live[-1], k)
@@ -198,37 +200,31 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
     taps = np.repeat(wd.reshape(1, c, k * k), b, axis=0).reshape(bc, k * k).T
     wt = taps.reshape((k, k, bc) + ones)[i0 : i1 + 1, j0 : j1 + 1]
     rows = max(1, min(bc, _ROW_BLOCK // n))
-    run = min(nr, _ROW_BLOCK // (rows * n) // nc) if rows * n <= _RUN_BLOCK else 0
+    batched = rows * n <= _RUN_BLOCK and nr * nc > 1
     acc = np.zeros((bc,) + grid, dtype=xd.dtype)
     # Under numpy's default 8192-element ufunc buffer, these ufuncs over
-    # blocks of short rows ran 2-3x slower on the 20x20 and 40x40 maps, and a
-    # run's product 2x slower on 8x8 ones (numpy 2.4). At stride 2, whose
-    # grid steps over every other element, the default buffer ran a run's
-    # product faster (k7 on 2x4x8x8: 17 against 28 us). These ufuncs cast
-    # nothing, so the buffer size changes no result bit.
-    bufsize = np.setbufsize(16) if stride == 1 else None
+    # blocks of short rows ran 2-3x slower on the 20x20 and 40x40 maps, and
+    # the batched product 2x slower on 8x8 ones (numpy 2.4). At stride 2,
+    # whose grid steps over every other element, the default buffer ran the
+    # batched product faster (k7 on 2x4x8x8: 17 against 28 us). These ufuncs
+    # cast nothing, so the buffer size changes no result bit.
+    bufsize = None if batched and stride == 2 else np.setbufsize(16)
     try:
         for r in range(0, bc, rows):
             a, wr, xr = acc[r : r + rows], wt[:, :, r : r + rows], windows[:, :, r : r + rows]
-            if run * nc < 2:
+            if batched:
+                # C order: the default K order follows the windows' strides,
+                # which at stride 2 would put the tap columns innermost and
+                # have the reduce sum them pairwise. numpy also sums pairwise
+                # a reduce with a single output and 8 or more terms; a
+                # one-element block has at most 4 live taps (stride 2 on a
+                # map of at most 2x2).
+                prod = np.multiply(wr, xr, order="C")
+                np.add.reduce(prod.reshape((-1,) + prod.shape[2:]), axis=0, out=a, initial=0)
+            else:
                 for i in range(nr):
                     for j in range(nc):
                         a += wr[i, j] * xr[i, j]
-            else:
-                for i in range(0, nr, run):
-                    # C order: the default K order follows the windows'
-                    # strides, which at stride 2 would put the tap columns
-                    # innermost and have the reduce sum them pairwise. numpy
-                    # also sums pairwise a reduce with a single output and 8
-                    # or more terms; a one-element block has at most 4 live
-                    # taps (stride 2 on a map of at most 2x2).
-                    prod = np.multiply(wr[i : i + run], xr[i : i + run], order="C")
-                    prod = prod.reshape((-1,) + prod.shape[2:])
-                    if i:
-                        for q in prod:
-                            a += q
-                    else:
-                        np.add.reduce(prod, axis=0, out=a, initial=0)
     finally:
         if bufsize is not None:
             np.setbufsize(bufsize)

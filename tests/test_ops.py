@@ -113,24 +113,24 @@ def test_conv_matches_naive_property(case):
     extra=st.tuples(st.integers(0, 6), st.integers(0, 6)),
     with_bias=st.booleans(),
     bad_tap=st.sampled_from([None, np.inf, -np.inf, np.nan]),
-    budget=st.sampled_from([None, "tap", "row"]),
+    row_blocks=st.booleans(),
+    tap_runs=st.booleans(),
     seed=st.integers(0, 2**16),
 )
 # A 5x2 map at stride 2: numpy's default K-ordered product would put the tap
 # columns innermost, and the reduce would sum them pairwise.
-@example(np.float32, 7, 2, 1, 5, (4, 0), False, None, None, 0)
+@example(np.float32, 7, 2, 1, 5, (4, 0), False, None, False, False, 0)
 # A 2x2 map under a k9 kernel: seed 9 puts the NaN on tap (3, 3), whose
 # window reads the input at stride 1 but only padding at stride 2.
-@example(np.float32, 9, 2, 1, 2, (1, 0), False, np.nan, None, 9)
+@example(np.float32, 9, 2, 1, 2, (1, 0), False, np.nan, False, False, 9)
 def test_depthwise_forward_bitwise_equals_windowed_loop(
-    dtype, k, stride, batch, channels, extra, with_bias, bad_tap, budget, seed
+    dtype, k, stride, batch, channels, extra, with_bias, bad_tap, row_blocks, tap_runs, seed
 ):
     """The flattened-row depthwise forward gives the windowed per-tap loop's
     output bit for bit (signed zeros included), at stride 1 and 2, with an
-    infinite or NaN kernel tap, under three budgets: as set (one block of
-    rows, the live taps in one run or a few kernel rows a run), one row a
-    block and one tap a run, or one kernel row of live taps a run. It
-    restores numpy's ufunc buffer size."""
+    infinite or NaN kernel tap, in one block of rows or one row a block
+    (`_ROW_BLOCK` = 1), and with all live taps in one product or one tap at
+    a time (`_RUN_BLOCK` = 0). It restores numpy's ufunc buffer size."""
     r = rng(seed)
     padding = k // 2
     h, w = 1 + extra[0], 2 + extra[1]
@@ -141,21 +141,15 @@ def test_depthwise_forward_bitwise_equals_windowed_loop(
     if bad_tap is not None:
         wd[tuple(r.integers(0, n) for n in wd.shape)] = bad_tap
     b = r.standard_normal(channels).astype(dtype) if with_bias else None
-    ho, wo = ops.conv_output_hw(h, w, k, stride, padding)
-    # elements of one (batch, channel) row of the output grid
-    n = ho * (w + 2 * padding) if stride == 1 else ho * wo
     bufsize = np.setbufsize(12288)  # a value no code sets, to see it restored
     try:
         with pytest.MonkeyPatch.context() as mp, using(checked=False), np.errstate(
             invalid="ignore", over="ignore"
         ):
-            if budget == "tap":
+            if row_blocks:
                 mp.setattr(ops, "_ROW_BLOCK", 1)
-            elif budget == "row":
-                live = ops._reading_taps(k, stride, h, w)
-                cols = live[-1] % k - live[0] % k + 1
-                mp.setattr(ops, "_ROW_BLOCK", cols * batch * channels * n)
-                mp.setattr(ops, "_RUN_BLOCK", batch * channels * n)
+            if tap_runs:
+                mp.setattr(ops, "_RUN_BLOCK", 0)
             y = ops.conv2d(
                 Tensor(x), Tensor(wd), None if b is None else Tensor(b), stride, channels
             )
