@@ -14,7 +14,7 @@ per-channel scale, a dense tap one `np.dot` (BLAS) of a channels-last
 forward (`_depthwise_rows`) reads the same taps from one strided view of
 flattened padded rows, at stride 1 or 2: a small map takes one product of
 all its live taps, summed in tap order from +0, and a large one a tap at a
-time, with the same bits as the windowed loop in far fewer calls. The dense forward
+time, with the windowed loop's bits in far fewer calls. The dense forward
 (`_dense_forward`) batches as well: per run of taps, one copy of the run's
 windows and one `np.matmul` against the run's (in, out) matrices, summed in
 tap order from +0. A run holds about `_TAP_BLOCK` elements, so a small map
