@@ -25,10 +25,13 @@ np.matmul does not round alike. A tap whose window holds only zero padding
 (`_reading_taps`: a large kernel on a small map) is skipped in dx, where it
 would write only the cropped border; in the depthwise forward its terms are
 +-0 (one per-channel sum keeps the NaN of an inf or NaN weight), and all such
-taps share one dw reduce. The deploy path runs dense convs through
-`conv2d_gemm`, one GEMM per call and no backward, and SiLU as
-`silu(x, deploy=True)`, one exp into one fresh buffer and no backward; each
-caller passes its producer's `runs_deploy`.
+taps share one dw reduce. The deploy path runs forward-only forms with no
+backward: dense convs through `conv2d_gemm`, one GEMM over a copy of a
+strided im2col view per call; a fused depthwise conv as
+`conv2d(..., deploy=True)`, k banded GEMMs per block of channels over tiles
+of output columns (`_depthwise_band`); and SiLU as `silu(x, deploy=True)`,
+one exp into one fresh buffer. Each caller passes its producer's
+`runs_deploy`.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
@@ -236,6 +239,55 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
     return acc.reshape(b, c, ho, row)[..., :wo]
 
 
+# `_depthwise_band` computes output columns in tiles of at most this many, so
+# a band GEMM does (tile + k - 1) / k times the conv's multiplies, and its
+# channels run in blocks of about `_BAND_BLOCK` tile-window elements, whose
+# copy and accumulator stay in a core's L2 cache (numpy 2.4, OpenBLAS: 2^18
+# ran the 640 model's calls 1.4x slower than 2^16 or 2^17).
+_BAND_TILE = 16
+_BAND_BLOCK = 1 << 17
+
+
+def _depthwise_band(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """Stride-1 depthwise forward as banded GEMMs, for the deploy path. Per
+    channel and kernel row i, the band[c, i] matrix holds w[c, i, j] at
+    (x + j, x), so a row of wb + k - 1 padded inputs times it gives wb
+    outputs. Output columns go in tiles of wb = min(`_BAND_TILE`, W): each
+    block of channels copies its overlapping (H + 2p, tiles, wb + k - 1)
+    tile windows once, and kernel row i multiplies the contiguous slice of
+    rows i * tiles to (i + H) * tiles of that copy by band[:, i]: k
+    `np.matmul` calls a block, the band broadcast over the batch. Zeros off
+    the band still multiply every input, so a non-finite input or weight
+    reaches every output of the tiles that read it."""
+    b, c, h, w = xd.shape
+    k = wd.shape[2]
+    p = k // 2
+    wb = min(_BAND_TILE, w)
+    nt = -(-w // wb)
+    span, hp = wb + k - 1, h + 2 * p
+    band = np.zeros((c, k, span, wb), dtype=xd.dtype)
+    s = band.strides
+    diagonals = np.ndarray((c, k, wb, k), band.dtype, band, 0, (s[0], s[1], s[2] + s[3], s[2]))
+    diagonals[...] = wd.reshape(c, k, 1, k)
+    xp = np.zeros((b, c, hp, nt * wb + k - 1), dtype=xd.dtype)
+    xp[:, :, p : p + h, p : p + w] = xd
+    sb, sc, sh, sw = xp.strides
+    # Built over every channel from offset 0, which numpy accepts for an empty
+    # batch too, then cut into blocks.
+    tiles = np.ndarray((b, c, hp, nt, span), xp.dtype, xp, 0, (sb, sc, sh, wb * sw, sw))
+    out = np.empty((b, c, h, w), dtype=xd.dtype)
+    cb = max(1, _BAND_BLOCK // (max(b, 1) * hp * nt * span))
+    for c0 in range(0, c, cb):
+        n = min(cb, c - c0)
+        a = np.ascontiguousarray(tiles[:, c0 : c0 + n]).reshape(b, n, hp * nt, span)
+        acc = np.matmul(a[:, :, : h * nt], band[c0 : c0 + n, 0])
+        prod = np.empty_like(acc)
+        for i in range(1, k):
+            acc += np.matmul(a[:, :, i * nt : (i + h) * nt], band[c0 : c0 + n, i], out=prod)
+        out[:, c0 : c0 + n] = acc.reshape(b, n, h, nt * wb)[..., :w]
+    return out
+
+
 # A run of dense taps, batched into one product, holds about this many window
 # and product elements, so that its buffers stay in cache like a block of
 # `_depthwise_rows`; each run after the first adds into the sum in tap order.
@@ -333,16 +385,35 @@ def conv2d(
     bias: Tensor | None = None,
     stride: int = 1,
     groups: int = 1,
+    deploy: bool = False,
 ) -> Tensor:
     """2-D cross-correlation, padded by k//2 ("same" at stride 1). A dense
     forward runs one batched GEMM per run of taps and sums the products in
     tap order from +0, bit for bit as one `np.dot` per tap; a product with a
-    unit dimension keeps that per-tap dot, since np.matmul rounds it apart."""
+    unit dimension keeps that per-tap dot, since np.matmul rounds it apart.
+    `deploy=True` runs a stride-1 depthwise conv as the forward-only banded
+    GEMMs of `_depthwise_band`: within rounding of the default form, and no
+    backward."""
     padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, groups)
 
     xd, wd = x.data, w.data
     b, cin, h, wdim = xd.shape
     depthwise = groups == cin == out_c
+    parents = (x, w) if bias is None else (x, w, bias)
+    if deploy:
+        if not depthwise or stride != 1:
+            raise ConfigError(
+                f"conv2d: deploy=True runs only a stride-1 depthwise conv, got "
+                f"{'depthwise' if depthwise else 'dense'} at stride {stride}"
+            )
+        out = _depthwise_band(xd, wd)
+        if bias is not None:
+            out += bias.data[None, :, None, None]
+
+        def forward_only(gy):
+            raise AutogradError("conv2d: forward-only deploy form; run deploy=False to record one")
+
+        return make_op_output(out, parents, forward_only, "conv2d")
     reduce = _scale_reduce if depthwise else _dense_reduce
     taps = _taps(k, stride, ho, wo)
 
@@ -354,8 +425,6 @@ def conv2d(
     out = np.ascontiguousarray(out)
     if bias is not None:
         out += bias.data[None, :, None, None]
-
-    parents = (x, w) if bias is None else (x, w, bias)
 
     def backward(gy):
         if x.requires_grad:
@@ -395,9 +464,9 @@ def conv2d_gemm(
         cols = xd[:, :, ::stride, ::stride]
     else:
         xp = _pad_hw(xd, padding)
-        cols = np.empty((b, cin, k, k, ho, wo), dtype=xd.dtype)
-        for i, j, win in _taps(k, stride, ho, wo):
-            cols[:, :, i, j] = xp[win]
+        sb, sc, sh, sw = xp.strides
+        strides = (sb, sc, sh, sw, stride * sh, stride * sw)
+        cols = np.ascontiguousarray(np.ndarray((b, cin, k, k, ho, wo), xp.dtype, xp, 0, strides))
     out = np.matmul(w.data.reshape(out_c, -1), cols.reshape(b, cin * k * k, ho * wo))
     if bias is not None:
         out += bias.data[:, None]

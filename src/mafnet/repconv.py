@@ -92,7 +92,7 @@ class RepHDWConv(Module):
             )
         if runs_deploy(self):
             w, b = Tensor(self.fused_weight), Tensor(self.fused_bias)
-            return ops.conv2d(x, w, b, groups=self.channels)
+            return ops.conv2d(x, w, b, groups=self.channels, deploy=True)
         out = None
         for conv, bn in self._branches():
             y = bn(conv(x))

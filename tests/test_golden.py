@@ -10,7 +10,9 @@ The run goldens pin the bits of whole computations on real shapes: ten toy
 SGD steps (every dense and depthwise conv shape of the toy step, forward and
 backward) and nano's fused and branch outputs at 128. BLAS rounds a product
 by its operands' layout and size, so a conv that is bitwise on the property
-tests' few channels can still change these.
+tests' few channels can still change these. A failing run golden names the
+numpy and BLAS it ran under, so a toolchain change reads apart from a code
+change.
 """
 
 import dataclasses
@@ -90,9 +92,17 @@ TOY_TRAIN_GOLDEN = (
 # nano_config(seed=5), BN statistics from one calibration batch of 8 images
 # at 128, one 1x3x128x128 input: sha256 over the outputs in key order
 NANO128_GOLDEN = {
-    "fused": "3ab0e6b3e3394487ab768d3e9e2996094e88e9ce1dffae95b355678582584090",
+    "fused": "ee4f7c1f8693deb4d44c5e85f75e9efa52d39a8168aafa49a7f5178ecf0d0712",
     "branch": "351dd3ac9ec7b65872e7408c7bb49a2951dd218e6a47de496343270305f8804f",
 }
+
+
+def toolchain() -> str:
+    """The numpy and BLAS the run goldens were checked under, for their failure
+    messages; the goldens above were captured under numpy 2.4.6 and
+    scipy-openblas 0.3.31.188.0."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
 
 
 def state_digest(model) -> str:
@@ -139,8 +149,8 @@ def test_toy_train_run_matches_golden_bytes(capsys, tmp_path):
     argv = ["toy-train", "--steps", "10", "--seed", "3", "--format", "json"]
     assert main([*argv, "--save-weights", str(weights)]) == 0
     payload, digest = TOY_TRAIN_GOLDEN
-    assert json.loads(capsys.readouterr().out) == payload
-    assert hashlib.sha256(weights.read_bytes()).hexdigest() == digest
+    assert json.loads(capsys.readouterr().out) == payload, toolchain()
+    assert hashlib.sha256(weights.read_bytes()).hexdigest() == digest, toolchain()
 
 
 def test_nano_fused_and_branch_outputs_match_golden_digests():
@@ -162,4 +172,4 @@ def test_nano_fused_and_branch_outputs_match_golden_digests():
     fused = digest()
     with branch_path():
         branch = digest()
-    assert {"fused": fused, "branch": branch} == NANO128_GOLDEN
+    assert {"fused": fused, "branch": branch} == NANO128_GOLDEN, toolchain()

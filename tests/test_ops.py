@@ -364,6 +364,8 @@ def test_conv_empty_batch_shapes(stride, depthwise):
     expected = (0, 4, (11 - 1) // stride + 1, (13 - 1) // stride + 1)
     y = ops.conv2d(x, w, stride=stride, groups=4 if depthwise else 1)
     assert y.shape == expected and y.dtype == np.float32
+    if depthwise and stride == 1:
+        assert ops.conv2d(x, w, groups=4, deploy=True).shape == expected
     if not depthwise:
         assert ops.conv2d_gemm(x, w, stride=stride).shape == expected
 
@@ -435,6 +437,92 @@ def test_conv2d_gemm_is_forward_only():
     loss = ops.sum_all(ops.conv2d_gemm(x, w))
     with pytest.raises(AutogradError, match="forward-only"):
         loss.backward()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    k=st.sampled_from([3, 5, 7, 9]),
+    batch=st.integers(0, 3),
+    channels=st.integers(1, 5),
+    h=st.integers(1, 12),
+    w=st.integers(1, 40),
+    with_bias=st.booleans(),
+    block=st.sampled_from([1, 2000, 1 << 17]),
+    seed=st.integers(0, 2**16),
+)
+# widths of one tile, two tiles and one column past them; the first example
+# runs blocks of 3 channels, so its last block holds 2
+@example(np.float32, 9, 2, 5, 3, 16, True, 2000, 0)
+@example(np.float64, 3, 1, 4, 2, 32, False, 1, 1)
+@example(np.float32, 7, 3, 3, 5, 33, True, 2000, 2)
+def test_depthwise_deploy_form_matches_conv2d(
+    dtype, k, batch, channels, h, w, with_bias, block, seed
+):
+    """The banded deploy form of a depthwise conv agrees with conv2d within the
+    rounding bound of a sum of n = k * k + 1 terms (the band's zeros add
+    exact zeros): each side is off the exact value by at most
+    n * eps * (|w| * |x| + |b|), so they differ by at most twice that. Its
+    output is a fresh C array of the same shape and dtype, for maps narrower
+    than, as wide as and not a multiple of a tile, one channel a block
+    (`_BAND_BLOCK` = 1), a few or all, and an empty batch."""
+    r = rng(seed)
+    x = r.standard_normal((batch, channels, h, w)).astype(dtype)
+    wd = r.standard_normal((channels, 1, k, k)).astype(dtype)
+    b = Tensor(r.standard_normal(channels).astype(dtype)) if with_bias else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_BAND_BLOCK", block)
+        with count_ops() as counts:
+            got = ops.conv2d(Tensor(x), Tensor(wd), b, groups=channels, deploy=True)
+    ref = ops.conv2d(Tensor(x), Tensor(wd), b, groups=channels)
+    assert counts == {"conv2d": 1}
+    assert got.dtype == dtype and got.shape == ref.shape and got.data.flags.c_contiguous
+    scale = ops.conv2d(Tensor(np.abs(x)), Tensor(np.abs(wd)), None, groups=channels).data
+    if with_bias:
+        scale = scale + np.abs(b.data)[:, None, None]
+    n = k * k + 1
+    assert np.all(np.abs(got.data - ref.data) <= 2 * n * np.finfo(dtype).eps * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    k=st.sampled_from([3, 5, 7, 9]),
+    hw=st.tuples(st.integers(1, 9), st.integers(1, 35)),
+    bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    in_weight=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_depthwise_deploy_form_keeps_non_finite_values(dtype, k, hw, bad, in_weight, seed):
+    """A non-finite input pixel or weight tap gives a non-finite output
+    wherever conv2d gives one: the band's zeros never hide it."""
+    r = rng(seed)
+    x = r.standard_normal((2, 3) + hw).astype(dtype)
+    wd = r.standard_normal((3, 1, k, k)).astype(dtype)
+    target = wd if in_weight else x
+    target[tuple(r.integers(0, n) for n in target.shape)] = bad
+    with using(checked=False), np.errstate(invalid="ignore", over="ignore"):
+        got = ops.conv2d(Tensor(x), Tensor(wd), groups=3, deploy=True).data
+        ref = ops.conv2d(Tensor(x), Tensor(wd), groups=3).data
+    assert not np.isfinite(ref).all()
+    assert np.all(~np.isfinite(got)[~np.isfinite(ref)])
+
+
+def test_depthwise_deploy_form_is_forward_only():
+    x = Tensor(rng(5).standard_normal((1, 2, 5, 5)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng(6).standard_normal((2, 1, 3, 3)).astype(np.float32))
+    loss = ops.sum_all(ops.conv2d(x, w, groups=2, deploy=True))
+    with pytest.raises(AutogradError, match="forward-only"):
+        loss.backward()
+
+
+def test_deploy_conv_is_depthwise_at_stride_1_only():
+    x = Tensor(np.zeros((1, 3, 6, 6), dtype=np.float32))
+    with pytest.raises(ConfigError, match="deploy=True.*dense at stride 1"):
+        ops.conv2d(x, Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32)), deploy=True)
+    with pytest.raises(ConfigError, match="deploy=True.*depthwise at stride 2"):
+        ops.conv2d(x, Tensor(np.zeros((3, 1, 3, 3), dtype=np.float32)), stride=2, groups=3,
+                   deploy=True)
 
 
 # ---------------------------------------------------------------------------
