@@ -5,6 +5,21 @@ fixed random direction to get a scalar, records gradients through the tape,
 then perturbs each input element by +/-step and compares. The comparison is
 relative with a per-tensor floor so elements with true zero gradient do not
 produce spurious failures.
+
+The taped forward is also recorded through `RUNTIME.op_hook`: each public
+op call with its arguments and output. A perturbed leaf then replays only
+the recorded calls it reaches, those with an input that depends on it, in
+their recorded order through the public ops, each replayed output standing
+in for the recorded one; every other recorded output is reused. Equal
+inputs give an op equal bits, so every difference, and so every reported
+error, keeps the bits of a full evaluation of `fn`. `fn` itself is
+evaluated, under `no_grad()`, for a leaf that every recorded call depends
+on (a single-op check), and for every leaf when the recording cannot be
+traced: an op input that is neither a leaf nor an earlier recorded output,
+an ndarray argument that shares memory with a leaf or a recorded output, or
+a returned Tensor that is neither. So `fn` must run the same ops with the
+tape on as under `no_grad()`, and compute nothing it hands an op from a
+leaf outside the ops (numpy work on `.data`), which no recording sees.
 """
 
 from __future__ import annotations
@@ -18,7 +33,7 @@ from .blocks import Bottleneck
 from .errors import ConfigError
 from .mafpn import SAFFuse, AAFFuse
 from .repconv import RepHDWConv, randomize_bn_stats
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, using
 
 DEFAULT_STEP = 1e-4
 DEFAULT_RTOL = 1e-4
@@ -29,6 +44,78 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
                 float(np.abs(numeric).max(initial=0.0)), 1e-8)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3 * scale)
     return float((np.abs(analytic - numeric) / denom).max(initial=0.0))
+
+
+def _flat(a) -> list:
+    """The items of nested lists and tuples, in order."""
+    if isinstance(a, (list, tuple)):
+        return [v for item in a for v in _flat(item)]
+    return [a]
+
+
+def _tensors(a) -> list:
+    return [v for v in _flat(a) if isinstance(v, Tensor)]
+
+
+def _swap(a, new: dict):
+    """`a` with every Tensor whose id `new` holds replaced by its value."""
+    if isinstance(a, Tensor):
+        return new.get(id(a), a)
+    if isinstance(a, (list, tuple)):
+        return type(a)(_swap(v, new) for v in a)
+    return a
+
+
+def _plans(calls: list, tensors: dict, out) -> dict:
+    """{leaf name: the steps of the recorded calls that depend on it, in
+    order}, without the leaves every call depends on; {} when the recording
+    cannot be traced. A step is (op, args, the positions of args that hold a
+    recorded output, kwargs, the keys of those that do, the output ids)."""
+    deps = {id(t): {k} for k, t in tensors.items()}
+    leaves = set(deps)
+    arrays = [t.data for t in tensors.values()]
+    steps = []
+
+    def made(v):
+        return any(id(t) not in leaves for t in _tensors(v))
+
+    for op, args, kwargs, res in calls:
+        d = set()
+        for a in _flat((args, tuple(kwargs.values()))):
+            if isinstance(a, Tensor):
+                if id(a) not in deps:
+                    return {}
+                d |= deps[id(a)]
+            elif isinstance(a, np.ndarray) and any(np.may_share_memory(a, m) for m in arrays):
+                return {}
+        for r in _flat(res):
+            if isinstance(r, Tensor):
+                if id(r) in deps:
+                    return {}
+                deps[id(r)] = d
+                r = r.data
+            arrays.append(r)
+        pos = tuple(i for i, a in enumerate(args) if made(a))
+        keys = tuple(k for k, v in kwargs.items() if made(v))
+        steps.append((d, (op, args, pos, kwargs, keys, [id(t) for t in _tensors(res)])))
+    if id(out) not in deps:
+        return {}
+    plans = {k: [step for d, step in steps if k in d] for k in tensors}
+    return {k: plan for k, plan in plans.items() if len(plan) < len(calls)}
+
+
+def _replay(plan: list, out: Tensor) -> Tensor:
+    """`out` recomputed by the steps of `plan` through the public ops."""
+    new: dict = {}
+    for op, args, pos, kwargs, keys, ids in plan:
+        if pos:
+            args = list(args)
+            for i in pos:
+                args[i] = _swap(args[i], new)
+        if keys:
+            kwargs = {**kwargs, **{k: _swap(kwargs[k], new) for k in keys}}
+        new.update(zip(ids, _tensors(getattr(ops, op)(*args, **kwargs))))
+    return new.get(id(out), out)
 
 
 def check_gradients(
@@ -43,7 +130,9 @@ def check_gradients(
     the leaf values to differentiate with respect to.
     """
     tensors = {k: Tensor(v.astype(np.float64), requires_grad=True) for k, v in arrays.items()}
-    out = fn(tensors)
+    calls: list = []
+    with using(op_hook=lambda *call: calls.append(call)):
+        out = fn(tensors)
     # Keyed off the seed but decoupled from the stream that generated the
     # inputs; a projection colinear with the input can hit a null direction
     # of the op (batch norm is scale-invariant along x) and zero the grads.
@@ -55,22 +144,24 @@ def check_gradients(
         k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for k, t in tensors.items()
     }
+    plans = _plans(calls, tensors, out)
 
-    def scalar() -> float:
+    def scalar(plan) -> float:
         with no_grad():
-            y = fn(tensors)
+            y = fn(tensors) if plan is None else _replay(plan, out)
         return float((y.data * proj).sum())
 
     worst = 0.0
     for k, t in tensors.items():
+        plan = plans.get(k)
         flat = t.data.reshape(-1)
         numeric = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = scalar()
+            up = scalar(plan)
             flat[i] = orig - step
-            down = scalar()
+            down = scalar(plan)
             flat[i] = orig
             numeric[i] = (up - down) / (2 * step)
         worst = max(worst, max_rel_error(analytic[k], numeric.reshape(t.data.shape)))

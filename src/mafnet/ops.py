@@ -31,7 +31,8 @@ strided im2col view per call; a fused depthwise conv as
 `conv2d(..., deploy=True)`, k banded GEMMs per block of channels over tiles
 of output columns (`_depthwise_band`); and SiLU as `silu(x, deploy=True)`,
 one exp into one fresh buffer. Each caller passes its producer's
-`runs_deploy`.
+`runs_deploy`. Every public op hands its call to `RUNTIME.op_hook` when
+one is set (`_hooked`).
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
@@ -44,6 +45,21 @@ import numpy as np
 
 from .errors import AutogradError, ConfigError, ShapeError
 from .tensor import RUNTIME, Tensor, make_op_output
+
+
+def _hooked(fn):
+    """A public op: once `fn` returns, `RUNTIME.op_hook`, when set, sees the
+    call as hook(op name, args, kwargs, output)."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def op(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if RUNTIME.op_hook is not None:
+            RUNTIME.op_hook(name, args, kwargs, out)
+        return out
+
+    return op
 
 
 def conv_output_hw(h: int, w: int, kernel: int, stride: int, padding: int) -> tuple[int, int]:
@@ -240,10 +256,12 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
 
 
 # `_depthwise_band` computes output columns in tiles of at most this many, so
-# a band GEMM does (tile + k - 1) / k times the conv's multiplies, and its
-# channels run in blocks of about `_BAND_BLOCK` tile-window elements, whose
-# copy and accumulator stay in a core's L2 cache (numpy 2.4, OpenBLAS: 2^18
-# ran the 640 model's calls 1.4x slower than 2^16 or 2^17).
+# a band GEMM does (tile + k - 1) / k times the conv's multiplies. A row's
+# tiles share its width evenly, so the last tile computes few columns that
+# the crop drops: 10 a tile for W = 20, 14 for W = 40, 16 for W = 80 or 160.
+# Its channels run in blocks of about `_BAND_BLOCK` tile-window elements,
+# whose copy and accumulator stay in a core's L2 cache (numpy 2.4, OpenBLAS:
+# 2^18 ran the 640 model's calls 1.4x slower than 2^16 or 2^17).
 _BAND_TILE = 16
 _BAND_BLOCK = 1 << 17
 
@@ -252,20 +270,21 @@ def _depthwise_band(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     """Stride-1 depthwise forward as banded GEMMs, for the deploy path. Per
     channel and kernel row i, the band[c, i] matrix holds w[c, i, j] at
     (x + j, x), so a row of wb + k - 1 padded inputs times it gives wb
-    outputs. Output columns go in tiles of wb = min(`_BAND_TILE`, W): each
-    block of channels writes its bands with one strided assignment, copies
-    its overlapping (H + 2p, tiles, wb + k - 1) tile windows once, and
-    multiplies the contiguous slice of rows i * tiles to (i + H) * tiles of
-    that copy by the bands of kernel row i: k `np.matmul` calls a block, the
-    bands broadcast over the batch. Built per block, the bands stay small
-    (at most about 1.3 MB on the 640 model) and are never stored. Zeros off
-    the band still multiply every input, so a non-finite input or weight
-    reaches every output of the tiles that read it."""
+    outputs. Output columns go in the fewest tiles of at most `_BAND_TILE`,
+    each wb = ceil(W / tiles) wide: each block of channels writes its bands
+    with one strided assignment, copies its overlapping (H + 2p, tiles,
+    wb + k - 1) tile windows once, and multiplies the contiguous slice of
+    rows i * tiles to (i + H) * tiles of that copy by the bands of kernel
+    row i: k `np.matmul` calls a block, the bands broadcast over the batch.
+    Built per block, the bands stay small (at most about 1.3 MB on the 640
+    model) and are never stored. Zeros off the band still multiply every
+    input, so a non-finite input or weight reaches every output of the
+    tiles that read it."""
     b, c, h, w = xd.shape
     k = wd.shape[2]
     p = k // 2
-    wb = min(_BAND_TILE, w)
-    nt = -(-w // wb)
+    nt = -(-w // _BAND_TILE)
+    wb = -(-w // nt)
     span, hp = wb + k - 1, h + 2 * p
     xp = np.zeros((b, c, hp, nt * wb + k - 1), dtype=xd.dtype)
     xp[:, :, p : p + h, p : p + w] = xd
@@ -381,6 +400,7 @@ def _conv_dx(gy: np.ndarray, wd: np.ndarray, stride: int, x_shape: tuple, depthw
     return dxp[p : p + h, p : p + w].transpose(2, 3, 0, 1)
 
 
+@_hooked
 def conv2d(
     x: Tensor,
     w: Tensor,
@@ -449,6 +469,7 @@ def conv2d(
     return make_op_output(out, parents, backward, "conv2d")
 
 
+@_hooked
 def conv2d_gemm(
     x: Tensor,
     w: Tensor,
@@ -491,6 +512,7 @@ def _validate_bn(op, x, channels_of):
         raise ShapeError(f"{op}: input has {x.shape[1]} channels, params have {channels_of}")
 
 
+@_hooked
 def batchnorm_infer(
     x: Tensor,
     gamma: Tensor,
@@ -522,6 +544,7 @@ def batchnorm_infer(
     return make_op_output(out, (x, gamma, beta), backward, "batchnorm_infer")
 
 
+@_hooked
 def batchnorm_train(
     x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5
 ) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -580,6 +603,7 @@ def _sigmoid(xd: np.ndarray) -> np.ndarray:
     return np.divide(e, den, out=e)
 
 
+@_hooked
 def silu(x: Tensor, deploy: bool = False) -> Tensor:
     """y = x * sigmoid(x), element-wise. `deploy=True` runs the forward-only
     form x / (1 + exp(-x)): one exp into one fresh buffer, within a few ulp of
@@ -607,6 +631,7 @@ def silu(x: Tensor, deploy: bool = False) -> Tensor:
     return make_op_output(out, (x,), backward, "silu")
 
 
+@_hooked
 def upsample_nearest2x(x: Tensor) -> Tensor:
     """Replicate every element into a 2x2 block: (B,C,H,W) -> (B,C,2H,2W)."""
     if x.ndim != 4:
@@ -621,6 +646,7 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
     return make_op_output(out, (x,), backward, "upsample_nearest2x")
 
 
+@_hooked
 def concat_channels(xs: list[Tensor]) -> Tensor:
     """Concatenate along the channel axis; batch and spatial dims must match."""
     if not xs:
@@ -648,6 +674,7 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
     return make_op_output(out, tuple(xs), backward, "concat_channels")
 
 
+@_hooked
 def split_channels(x: Tensor, sizes: list[int]) -> list[Tensor]:
     """Split along the channel axis; sizes must sum to the channel count."""
     if any(s <= 0 for s in sizes):
@@ -673,6 +700,7 @@ def split_channels(x: Tensor, sizes: list[int]) -> list[Tensor]:
     return outs
 
 
+@_hooked
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over the spatial dims, keeping them as 1x1."""
     if x.ndim != 4:
@@ -691,6 +719,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 # arithmetic
 # ---------------------------------------------------------------------------
 
+@_hooked
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
@@ -706,6 +735,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return make_op_output(out, (a, b), backward, "add")
 
 
+@_hooked
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
@@ -721,6 +751,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return make_op_output(out, (a, b), backward, "mul")
 
 
+@_hooked
 def mul_scalar(a: Tensor, s: float) -> Tensor:
     sv = a.dtype.type(s)
     out = a.data * sv
@@ -732,6 +763,7 @@ def mul_scalar(a: Tensor, s: float) -> Tensor:
     return make_op_output(out, (a,), backward, "mul_scalar")
 
 
+@_hooked
 def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.dtype)
 
@@ -742,6 +774,7 @@ def sum_all(x: Tensor) -> Tensor:
     return make_op_output(out, (x,), backward, "sum_all")
 
 
+@_hooked
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between softmax(logits) and integer labels.
 

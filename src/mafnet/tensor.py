@@ -21,13 +21,16 @@ class Runtime:
     """Process-wide switches, changed for a block with `using()`: NaN/Inf checks
     on op outputs (`checked`, off when MAF_CHECKED=0), tape recording (`grad`),
     the unfused eval forward on a fused model (`branch_path`), a hook run as
-    `observer(module, output)` after every Module call, and `op_counts`."""
+    `observer(module, output)` after every Module call, one run as
+    `op_hook(op, args, kwargs, output)` after every public op call, and
+    `op_counts`."""
 
     def __init__(self):
         self.checked = os.environ.get("MAF_CHECKED", "1") != "0"
         self.grad = True
         self.branch_path = False
         self.observer = None
+        self.op_hook = None
         self.op_counts = Counter()
 
 

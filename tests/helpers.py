@@ -13,12 +13,17 @@ as the bitwise reference for conv2d's forward and gradients.
 ``ops._dense`` itself is gone: ``ops._dense_forward`` multiplies a run of
 taps in one batched product and sums the products in tap order, and
 ``ops._conv_dx`` scatters the input gradient of both kinds. The per-tap
-tensordot loop stays the reference for both.
+tensordot loop stays the reference for both. ``plain_check_gradients`` is
+the original body of ``gradcheck.check_gradients``, which evaluates ``fn``
+in full for every finite difference: the bitwise reference for the checker
+that replays only the op calls a perturbation reaches.
 """
 
 import numpy as np
 
-from mafnet import BatchNorm2d, Conv2d, Tensor
+from mafnet import BatchNorm2d, Conv2d, Tensor, ops
+from mafnet.gradcheck import DEFAULT_STEP, max_rel_error
+from mafnet.tensor import no_grad
 
 
 def naive_conv2d(x, w, bias=None, stride=1, padding=None, groups=1):
@@ -141,6 +146,41 @@ def windowed_conv2d_grads(x, wd, bias, stride, padding, gy):
         dx = dxp[:, :, padding : padding + h, padding : padding + w]
     db = None if bias is None else gy.sum(axis=(0, 2, 3))
     return out, dx, dw, db
+
+
+def plain_check_gradients(fn, arrays, step=DEFAULT_STEP, seed=0):
+    """Reference finite-difference checker: the max relative error between
+    tape gradients and central differences of full evaluations of `fn`."""
+    tensors = {k: Tensor(v.astype(np.float64), requires_grad=True) for k, v in arrays.items()}
+    out = fn(tensors)
+    rng = np.random.default_rng([seed, 0x9E3779B9])
+    proj = rng.standard_normal(out.shape)
+    loss = ops.sum_all(ops.mul(out, Tensor(proj, dtype=np.float64)))
+    loss.backward()
+    analytic = {
+        k: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
+        for k, t in tensors.items()
+    }
+
+    def scalar() -> float:
+        with no_grad():
+            y = fn(tensors)
+        return float((y.data * proj).sum())
+
+    worst = 0.0
+    for k, t in tensors.items():
+        flat = t.data.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = scalar()
+            flat[i] = orig - step
+            down = scalar()
+            flat[i] = orig
+            numeric[i] = (up - down) / (2 * step)
+        worst = max(worst, max_rel_error(analytic[k], numeric.reshape(t.data.shape)))
+    return worst
 
 
 def dirac_depthwise(channels, kernel, dtype=np.float32):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import plain_check_gradients
+
 from mafnet import Tensor
 from mafnet import ops
-from mafnet.gradcheck import registry, run_gradcheck
+from mafnet.gradcheck import CHECKS, check_gradients, registry, run_gradcheck
 
 
 def test_sum_of_conv_weight_grad_is_border_clipped_count():
@@ -91,3 +93,44 @@ def test_finite_difference_composites():
 
 def test_gradcheck_golden_covers_registry():
     assert list(GRADCHECK_GOLDEN) == list(registry())
+
+
+def _same_as_plain(fn_and_arrays, seed):
+    """check_gradients against the plain checker, each on fresh leaves."""
+    got = check_gradients(*fn_and_arrays(), seed=seed)
+    want = plain_check_gradients(*fn_and_arrays(), seed=seed)
+    assert repr(got) == repr(want)
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("build", [b for _, _, b in CHECKS], ids=[label for _, label, _ in CHECKS])
+def test_replayed_differences_match_full_evaluation_bitwise(build, seed):
+    _same_as_plain(lambda: build(np.random.default_rng(seed)), seed)
+
+
+def _leaves(rng, **shapes):
+    return {k: rng.standard_normal(s) for k, s in shapes.items()}
+
+
+def test_fresh_tensor_over_a_leaf_falls_back_to_full_evaluation():
+    """A Tensor made inside `fn` over a leaf's data is untraceable: its
+    perturbations show only in a full evaluation."""
+
+    def fn(t):
+        return ops.mul(ops.silu(t["x"]), ops.silu(Tensor(t["y"].data)))
+
+    err = _same_as_plain(lambda: (fn, _leaves(np.random.default_rng(0), x=(1, 2, 3, 3), y=(1, 2, 3, 3))), 0)
+    assert err > 0.5  # y's tape gradient is zero, its differences are not
+
+
+def test_leaf_data_as_running_mean_falls_back_to_full_evaluation():
+    var = np.full(2, 1.5)
+
+    def fn(t):
+        return ops.batchnorm_infer(ops.silu(t["x"]), t["g"], t["b"], t["m"].data, var)
+
+    def case():
+        return fn, _leaves(np.random.default_rng(0), x=(1, 2, 3, 3), g=(2,), b=(2,), m=(2,))
+
+    assert _same_as_plain(case, 0) > 0.5

@@ -20,13 +20,18 @@ from mafnet import (
     count_ops,
     evaluate_accuracy,
     fuse_equivalence_deviation,
+    fuse_model,
     make_blob_dataset,
+    nano_config,
     no_grad,
     ops,
     toy_config,
+    train_toy,
+    using,
 )
 from mafnet import gradcheck, modules, tensor
 from mafnet.repconv import branch_path
+from mafnet.tensor import RUNTIME
 
 
 class Boom(Exception):
@@ -179,3 +184,92 @@ def test_gradcheck_looks_up_no_grad_at_call_time(monkeypatch):
     build = next(b for family, _, b in gradcheck.CHECKS if family == "silu")
     _, arrays = build(np.random.default_rng(0))
     assert ok and len(entered) == 2 * sum(a.size for a in arrays.values())
+
+
+def _hooked_events(monkeypatch, run) -> tuple[list, dict]:
+    """(events, count_ops totals) of `run()`: ("make", op, tensor) for every
+    `make_op_output` call and ("hook", op, output) for every hook call."""
+    events = []
+    make = ops.make_op_output
+
+    def recording_make(data, parents, backward, op):
+        out = make(data, parents, backward, op)
+        events.append(("make", op, out))
+        return out
+
+    monkeypatch.setattr(ops, "make_op_output", recording_make)
+    with count_ops() as counts, using(op_hook=lambda op, args, kwargs, out: events.append(("hook", op, out))):
+        run()
+    return events, counts
+
+
+def _toy_train_step():
+    train_toy(ToyClassifier(toy_config()), make_blob_dataset(n=4, size=32), steps=1, batch_size=4)
+
+
+def _fused_nano_forward():
+    rng = np.random.default_rng([5, 640])
+    model = build_model(nano_config(seed=5))
+    calibrate_bn_stats(model, rng, (2, 3, 128, 128), batches=1)
+    model.eval()
+    fuse_model(model)
+    with no_grad():
+        model.forward_taps(Tensor(rng.standard_normal((1, 3, 128, 128)).astype(np.float32)))
+
+
+def _arithmetic_backward():
+    x = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
+    ops.sum_all(ops.mul(ops.mul_scalar(x, 2.0), x + x)).backward()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_toy_train_step, _fused_nano_forward, _arithmetic_backward],
+    ids=["toy-step", "fused-nano", "arithmetic"],
+)
+def test_op_hook_sees_every_op_output_once(monkeypatch, run):
+    """Each hooked call follows the `make_op_output` calls it made: every op
+    output is made inside exactly one hooked call, and the hook sees the
+    value that call returned."""
+    events, counts = _hooked_events(monkeypatch, run)
+    assert events and events[-1][0] == "hook"
+    made = []
+    seen = {}
+    for kind, op, value in events:
+        if kind == "make":
+            made.append((op, value))
+            continue
+        outputs = [v for v in (value if isinstance(value, (list, tuple)) else [value])
+                   if isinstance(v, Tensor)]
+        assert made and [o for o, _ in made] == [op] * len(made)
+        assert [id(v) for _, v in made] == [id(v) for v in outputs]
+        seen[op] = seen.get(op, 0) + len(made)
+        made = []
+    assert seen == counts
+
+
+def test_op_hook_sees_args_kwargs_and_output():
+    x = Tensor(np.ones((1, 2, 4, 4)))
+    w = Tensor(np.ones((2, 1, 3, 3)))
+    calls = []
+    with using(op_hook=lambda *call: calls.append(call)):
+        out = ops.conv2d(x, w, None, groups=2)
+        parts = ops.split_channels(out, sizes=[1, 1])
+    assert len(calls) == 2
+    (op, args, kwargs, got), (op2, args2, kwargs2, got2) = calls
+    assert op == "conv2d" and args[0] is x and args[1] is w and args[2] is None
+    assert kwargs == {"groups": 2} and got is out
+    assert op2 == "split_channels" and args2 == (out,) and kwargs2 == {"sizes": [1, 1]}
+    assert got2 is parts
+
+
+def test_op_hook_defaults_to_none_and_restores_after_exception():
+    assert RUNTIME.op_hook is None
+    calls = []
+    with pytest.raises(Boom):
+        with using(op_hook=lambda *call: calls.append(call)):
+            ops.silu(Tensor(np.ones(3)))
+            raise Boom
+    assert RUNTIME.op_hook is None
+    ops.silu(Tensor(np.ones(3)))
+    assert [call[0] for call in calls] == ["silu"]
