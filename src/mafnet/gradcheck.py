@@ -16,10 +16,11 @@ error, keeps the bits of a full evaluation of `fn`. `fn` itself is
 evaluated, under `no_grad()`, for a leaf that every recorded call depends
 on (a single-op check), and for every leaf when the recording cannot be
 traced: an op input that is neither a leaf nor an earlier recorded output,
-an ndarray argument that shares memory with a leaf or a recorded output, or
-a returned Tensor that is neither. So `fn` must run the same ops with the
-tape on as under `no_grad()`, and compute nothing it hands an op from a
-leaf outside the ops (numpy work on `.data`), which no recording sees.
+an op output that already is one of these, an ndarray argument that shares
+memory with a leaf or a recorded output, or a returned Tensor that is
+neither a leaf nor a recorded output. So `fn` must run the same ops with
+the tape on as under `no_grad()`, and compute nothing it hands an op from
+a leaf outside the ops (numpy work on `.data`), which no recording sees.
 """
 
 from __future__ import annotations
@@ -70,15 +71,10 @@ def _plans(calls: list, tensors: dict, out) -> dict:
     """{leaf name: the steps of the recorded calls that depend on it, in
     order}, without the leaves every call depends on; {} when the recording
     cannot be traced. A step is (op, args, the positions of args that hold a
-    recorded output, kwargs, the keys of those that do, the output ids)."""
+    Tensor, kwargs, the keys of those that do, the output ids)."""
     deps = {id(t): {k} for k, t in tensors.items()}
-    leaves = set(deps)
     arrays = [t.data for t in tensors.values()]
     steps = []
-
-    def made(v):
-        return any(id(t) not in leaves for t in _tensors(v))
-
     for op, args, kwargs, res in calls:
         d = set()
         for a in _flat((args, tuple(kwargs.values()))):
@@ -95,8 +91,8 @@ def _plans(calls: list, tensors: dict, out) -> dict:
                 deps[id(r)] = d
                 r = r.data
             arrays.append(r)
-        pos = tuple(i for i, a in enumerate(args) if made(a))
-        keys = tuple(k for k, v in kwargs.items() if made(v))
+        pos = tuple(i for i, a in enumerate(args) if _tensors(a))
+        keys = tuple(k for k, v in kwargs.items() if _tensors(v))
         steps.append((d, (op, args, pos, kwargs, keys, [id(t) for t in _tensors(res)])))
     if id(out) not in deps:
         return {}
