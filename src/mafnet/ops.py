@@ -1,38 +1,15 @@
 """Functional operators over Tensor: convolution, batch norm, SiLU,
 nearest-neighbor upsampling, channel concat/split, pooling and the toy loss.
 
-Convolution is one formulation for the two kinds the network uses, dense
-and depthwise, always padded by k//2 ("same" at stride 1): a tap walker
-lists, for each of the k^2 kernel taps, the strided window of the padded
-input that the tap reads, and each direction is a single loop over it. The
-forward adds mix(window, tap weights) into the output, dx (`_conv_dx`)
-scatters mix(gy, tap weights transposed) into the windows of one padded
-(H, W, B, C) buffer for both kinds, and dw reduces gy against each window.
-Only the per-tap channel mix depends on the kind: a depthwise tap is a
-per-channel scale, a dense tap one `np.dot` (BLAS) of a channels-last
-(B*H*W, C) reshape. Memory stays flat at one window per tap. The depthwise
-forward (`_depthwise_rows`) reads the same taps from one strided view of
-flattened padded rows, at stride 1 or 2: a small map takes one product of
-all its live taps, summed in tap order from +0, and a large one a tap at a
-time, with the windowed loop's bits in far fewer calls. The dense forward
-(`_dense_forward`) batches as well: per run of taps, one copy of the run's
-windows and one `np.matmul` against the run's (in, out) matrices, summed in
-tap order from +0. A run holds about `_TAP_BLOCK` elements, so a small map
-takes one run and a large one a few kernel rows or one tap a run. A 1x1
-conv, and a product with a unit dimension, keep one `np.dot` per tap: the
-latter for its bits, as np.dot leaves GEMM there for vector paths that
-np.matmul does not round alike. A tap whose window holds only zero padding
-(`_reading_taps`: a large kernel on a small map) is skipped in dx, where it
-would write only the cropped border; in the depthwise forward its terms are
-+-0 (one per-channel sum keeps the NaN of an inf or NaN weight), and all such
-taps share one dw reduce. The deploy path runs forward-only forms with no
-backward: dense convs through `conv2d_gemm`, one GEMM over a copy of a
-strided im2col view per call; a fused depthwise conv as
-`conv2d(..., deploy=True)`, k banded GEMMs per block of channels over tiles
-of output columns (`_depthwise_band`); and SiLU as `silu(x, deploy=True)`,
-one exp into one fresh buffer. Each caller passes its producer's
-`runs_deploy`. Every public op hands its call to `RUNTIME.op_hook` when
-one is set (`_hooked`).
+Convolution is one formulation for its two kinds, dense and depthwise: each
+of the k^2 kernel taps reads one strided window of the padded input, and
+every such window is a slice of one `_windows` view. The forward adds
+mix(window, tap weights) into the output, dx (`_conv_dx`) scatters mix(gy,
+tap weights transposed), and dw reduces gy against each window; only the
+per-tap channel mix depends on the kind, a per-channel scale or one BLAS
+product. A tap whose window holds only zero padding (`_reading_taps`) is
+skipped in dx, and all such taps share one dw reduce. The deploy path's
+forms are forward-only; each caller passes its producer's `runs_deploy`.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
@@ -115,23 +92,23 @@ def _validate_conv(x: Tensor, w: Tensor, bias: Tensor | None, stride: int, group
 
 
 def _pad_hw(a: np.ndarray, p: int) -> np.ndarray:
+    """`a` padded by p zeros on each side of H and W, always a C array."""
     if p == 0:
-        return a
+        return np.ascontiguousarray(a)
     b, c, h, w = a.shape
     out = np.zeros((b, c, h + 2 * p, w + 2 * p), dtype=a.dtype)
     out[:, :, p : p + h, p : p + w] = a
     return out
 
 
-@functools.lru_cache(maxsize=256)
-def _taps(k: int, stride: int, ho: int, wo: int) -> tuple:
-    """(i, j, window) per kernel tap; `window` indexes the padded input pixels
-    that tap (i, j) reads for every output pixel. Cached, so it is a tuple."""
-    return tuple(
-        (i, j, (..., slice(i, i + stride * ho, stride), slice(j, j + stride * wo, stride)))
-        for i in range(k)
-        for j in range(k)
-    )
+def _windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The (B, C, k, k, ho, wo) view of a padded C-ordered (B, C, H, W) array
+    whose [:, :, i, j] is the strided window that tap (i, j) reads: the im2col
+    operand, copying nothing. Built from offset 0, which numpy accepts for an
+    empty batch too."""
+    sb, sc, sh, sw = xp.strides
+    shape = xp.shape[:2] + (k, k, ho, wo)
+    return np.ndarray(shape, xp.dtype, xp, 0, (sb, sc, sh, sw, stride * sh, stride * sw))
 
 
 @functools.lru_cache(maxsize=256)
@@ -178,49 +155,40 @@ _RUN_BLOCK = 1 << 11
 
 
 def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
-    """Depthwise forward with each (batch, channel) map flattened to one row
-    of the padded input. Tap (i, j) reads element i * width + j of a row plus
-    an offset per output pixel: at stride 1, on an (h, padded width) grid,
-    one contiguous run, whose grid columns past w are discarded; at stride 2,
-    the (ho, wo) grid, stepping two rows and two columns. One strided
-    (kernel rows, kernel cols, B*C, grid) view holds the windows of the live
-    taps (`_reading_taps`), a rectangle of the kernel. A block of at most
-    `_RUN_BLOCK` elements multiplies all its live taps in one C-ordered
-    product and sums it along its leading axis from +0; larger blocks, among
-    them every map of the toy and 640 models, add one tap at a time. So
-    every kept element sees the same multiplies and adds, in the same tap
-    order, as in the windowed loop."""
+    """Depthwise forward over the padded input's `_windows`, on an (ho, row)
+    grid of each (batch, channel) map: at stride 1 the grid row is the padded
+    width, so a tap's window is one contiguous run whose columns past w are
+    discarded; at stride 2 it is wo. The view, cut to the live taps
+    (`_reading_taps`, a rectangle of the kernel), merges batch and channel
+    into one (k, k, B*C, ho, row) view. A block of at most `_RUN_BLOCK`
+    elements multiplies all its live taps in one C-ordered product and sums
+    it along its leading axis from +0; larger blocks, among them every map of
+    the toy and 640 models, add one tap at a time. So every kept element sees
+    the same multiplies and adds, in the same tap order, as in the windowed
+    loop."""
     b, c, h, w = xd.shape
     k = wd.shape[2]
     p = k // 2
     width = w + 2 * p
     ho, wo = conv_output_hw(h, w, k, stride, p)
-    bc, item = b * c, xd.itemsize
+    bc = b * c
     # One spare bottom row: the last tap's run at stride 1 ends k - 1 past
     # the padding.
     height = h + 2 * p + 1
-    xp = np.zeros((bc, height * width), dtype=xd.dtype)
-    xp.reshape(b, c, height, width)[:, :, p : p + h, p : p + w] = xd
-    # the output grid's row: padded width, or wo at stride 2
+    xp = np.zeros((b, c, height, width), dtype=xd.dtype)
+    xp[:, :, p : p + h, p : p + w] = xd
     row = width if stride == 1 else wo
     n = ho * row
-    if stride == 1:
-        grid, steps = (n,), (item,)
-    else:
-        grid, steps = (ho, wo), (stride * width * item, stride * item)
-    ones = (1,) * len(grid)
     live = _reading_taps(k, stride, h, w)
     (i0, j0), (i1, j1) = divmod(live[0], k), divmod(live[-1], k)
     nr, nc = i1 - i0 + 1, j1 - j0 + 1
-    # Built over all k x k taps from offset 0, which numpy accepts for an
-    # empty batch too, then cut to the live rectangle.
-    strides = (width * item, item, xp.strides[0]) + steps
-    windows = np.ndarray((k, k, bc) + grid, xp.dtype, xp, 0, strides)[i0 : i1 + 1, j0 : j1 + 1]
+    windows = _windows(xp, k, stride, ho, row).transpose(2, 3, 0, 1, 4, 5)
+    windows = windows.reshape(k, k, bc, ho, row)[i0 : i1 + 1, j0 : j1 + 1]
     taps = np.repeat(wd.reshape(1, c, k * k), b, axis=0).reshape(bc, k * k).T
-    wt = taps.reshape((k, k, bc) + ones)[i0 : i1 + 1, j0 : j1 + 1]
+    wt = taps.reshape(k, k, bc, 1, 1)[i0 : i1 + 1, j0 : j1 + 1]
     rows = max(1, min(bc, _ROW_BLOCK // n))
     batched = rows * n <= _RUN_BLOCK and nr * nc > 1
-    acc = np.zeros((bc,) + grid, dtype=xd.dtype)
+    acc = np.zeros((bc, ho, row), dtype=xd.dtype)
     # Under numpy's default 8192-element ufunc buffer, these ufuncs over
     # blocks of short rows ran 2-3x slower on the 20x20 and 40x40 maps, and
     # the batched product 2x slower on 8x8 ones (numpy 2.4). At stride 2,
@@ -251,7 +219,7 @@ def _depthwise_rows(xd: np.ndarray, wd: np.ndarray, stride: int) -> np.ndarray:
         # A padding-only tap adds w * 0: +-0, which changes no bit of an
         # accumulator that starts at +0 and so never holds -0, or NaN to every
         # output of its channel when w is inf or NaN. One sum per channel does.
-        acc += (np.delete(taps, live, axis=0) * 0).sum(axis=0).reshape((bc,) + ones)
+        acc += (np.delete(taps, live, axis=0) * 0).sum(axis=0).reshape(bc, 1, 1)
     return acc.reshape(b, c, ho, row)[..., :wo]
 
 
@@ -289,8 +257,8 @@ def _depthwise_band(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     xp = np.zeros((b, c, hp, nt * wb + k - 1), dtype=xd.dtype)
     xp[:, :, p : p + h, p : p + w] = xd
     sb, sc, sh, sw = xp.strides
-    # Built over every channel from offset 0, which numpy accepts for an empty
-    # batch too, then cut into blocks.
+    # Not a `_windows` view: a tile steps wb along W only, not a k x k window.
+    # Built from offset 0, which numpy accepts for an empty batch too.
     tiles = np.ndarray((b, c, hp, nt, span), xp.dtype, xp, 0, (sb, sc, sh, wb * sw, sw))
     out = np.empty((b, c, h, w), dtype=xd.dtype)
     cb = max(1, _BAND_BLOCK // (max(b, 1) * hp * nt * span))
@@ -331,18 +299,18 @@ def _tap_runs(k: int, per_run: int) -> tuple:
 def _dense_forward(xd: np.ndarray, wd: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
     """Dense conv forward as channels-last (B*ho*wo, out) rows, summed over
     the taps in tap order. A k x k conv copies a run of taps' windows out of
-    one strided (k, k, B, ho, wo, C) view of the padded input in one go and
-    multiplies them by the taps' (in, out) matrices in one `np.matmul`. Both
-    operands reach BLAS as C arrays, as np.dot's copies of the per-tap views
-    did: OpenBLAS rounds a product by its operands' layout. A run of several
-    taps is reduced from an explicit +0, as in a `zeros += p` loop (0 + -0 is
-    +0); a single product needs none, since BLAS sums from +0 itself and never
-    returns -0 (the bitwise property test draws -0 inputs and zero weights
-    and compares signed zeros)."""
+    the padded input's `_windows`, transposed to (k, k, B, ho, wo, C), in one
+    go and multiplies them by the taps' (in, out) matrices in one
+    `np.matmul`. Both operands reach BLAS as C arrays, as np.dot's copies of
+    the per-tap views did: OpenBLAS rounds a product by its operands' layout.
+    A run of several taps is reduced from an explicit +0, as in a `zeros +=
+    p` loop (0 + -0 is +0); a single product needs none, since BLAS sums from
+    +0 itself and never returns -0 (the bitwise property test draws -0 inputs
+    and zero weights and compares signed zeros)."""
     b, cin = xd.shape[:2]
     out_c, _, k, _ = wd.shape
     n = b * ho * wo
-    xp = _pad_hw(xd, k // 2)
+    windows = _windows(_pad_hw(xd, k // 2), k, stride, ho, wo)
     if k == 1 or min(n, cin, out_c) < 2 or not wd.flags.c_contiguous:
         # One np.dot per tap. A 1x1 conv has one tap, nothing to batch. The
         # other two cases are here for bits, not speed, and no layer runs
@@ -350,18 +318,12 @@ def _dense_forward(xd: np.ndarray, wd: np.ndarray, stride: int, ho: int, wo: int
         # vector paths, which np.matmul does not round alike (one skips an inf
         # weight times 0, the other gives NaN), and the taps of a weight that
         # is not C-ordered may reach BLAS in another layout.
-        out = None
-        for i, j, win in _taps(k, stride, ho, wo):
-            p = np.dot(_channels_last(xp[win]), wd[:, :, i, j].T)
-            if out is None:
-                out = p
-            else:
-                out += p
+        out = np.dot(_channels_last(windows[:, :, 0, 0]), wd[:, :, 0, 0].T)
+        for t in range(1, k * k):
+            i, j = divmod(t, k)
+            out += np.dot(_channels_last(windows[:, :, i, j]), wd[:, :, i, j].T)
     else:
-        # xp is padded by k//2 >= 1, so it is a fresh C array
-        sb, sc, sh, sw = xp.strides
-        strides = (sh, sw, sb, stride * sh, stride * sw, sc)
-        windows = np.ndarray((k, k, b, ho, wo, cin), xp.dtype, xp, 0, strides)
+        windows = windows.transpose(2, 3, 0, 4, 5, 1)
         taps = np.ascontiguousarray(wd.transpose(2, 3, 1, 0)).reshape(k * k, cin, out_c)
         for rows, cols, t0, t in _tap_runs(k, max(1, _TAP_BLOCK // (n * (cin + out_c)))):
             wins = np.ascontiguousarray(windows[rows, cols]).reshape(t, n, cin)
@@ -396,6 +358,7 @@ def _conv_dx(gy: np.ndarray, wd: np.ndarray, stride: int, x_shape: tuple, depthw
             mix = g * taps[t]
         else:
             mix = np.dot(g, wd[:, :, i, j]).reshape(b, ho, wo, cin).transpose(1, 2, 0, 3)
+        # a slice, not `_windows`: dxp is a channels-last (H, W, B, C) buffer
         dxp[i : i + stride * ho : stride, j : j + stride * wo : stride] += mix
     return dxp[p : p + h, p : p + w].transpose(2, 3, 0, 1)
 
@@ -437,7 +400,6 @@ def conv2d(
 
         return make_op_output(out, parents, forward_only, "conv2d")
     reduce = _scale_reduce if depthwise else _dense_reduce
-    taps = _taps(k, stride, ho, wo)
 
     if depthwise:
         out = _depthwise_rows(xd, wd, stride)
@@ -452,16 +414,16 @@ def conv2d(
         if x.requires_grad:
             x.accumulate_grad(_conv_dx(gy, wd, stride, xd.shape, depthwise))
         if w.requires_grad:
-            xp = _pad_hw(xd, padding)
+            windows = _windows(_pad_hw(xd, padding), k, stride, ho, wo)
             dw = np.zeros_like(wd)
             flat = dw.reshape(*dw.shape[:2], k * k)
             live = _reading_taps(k, stride, h, wdim)
             for t in live:
-                flat[..., t] = reduce(gy, xp[taps[t][2]])
+                flat[..., t] = reduce(gy, windows[:, :, t // k, t % k])
             # every padding-only tap reduces gy against the same all-zero window
             dead = np.delete(np.arange(k * k), live)
             if dead.size:
-                flat[..., dead] = reduce(gy, xp[taps[dead[0]][2]])[..., None]
+                flat[..., dead] = reduce(gy, windows[:, :, dead[0] // k, dead[0] % k])[..., None]
             w.accumulate_grad(dw)
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(gy.sum(axis=(0, 2, 3)))
@@ -476,20 +438,14 @@ def conv2d_gemm(
     bias: Tensor | None = None,
     stride: int = 1,
 ) -> Tensor:
-    """Forward-only dense conv for the deploy path, padded by k//2: a 1x1 conv
-    is W @ X per image, a k x k conv one GEMM over the im2col matrix. It
-    matches conv2d to rounding, not bit for bit (BLAS sums in another order),
-    and has no backward."""
+    """Forward-only dense conv for the deploy path, padded by k//2: one GEMM
+    per image over the im2col matrix, a C copy of the padded input's
+    `_windows` (at stride 1, a 1x1 conv's is the input itself, not copied).
+    It matches conv2d to rounding, not bit for bit (BLAS sums in another
+    order), and has no backward."""
     padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, 1)
-    xd = x.data
-    b, cin = xd.shape[:2]
-    if k == 1:
-        cols = xd[:, :, ::stride, ::stride]
-    else:
-        xp = _pad_hw(xd, padding)
-        sb, sc, sh, sw = xp.strides
-        strides = (sb, sc, sh, sw, stride * sh, stride * sw)
-        cols = np.ascontiguousarray(np.ndarray((b, cin, k, k, ho, wo), xp.dtype, xp, 0, strides))
+    b, cin = x.shape[:2]
+    cols = np.ascontiguousarray(_windows(_pad_hw(x.data, padding), k, stride, ho, wo))
     out = np.matmul(w.data.reshape(out_c, -1), cols.reshape(b, cin * k * k, ho * wo))
     if bias is not None:
         out += bias.data[:, None]

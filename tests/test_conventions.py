@@ -90,6 +90,27 @@ def test_ufunc_buffer_size_changes_no_bit(dtype):
     assert small == default
 
 
+def test_merging_batch_and_channel_of_a_transposed_window_view_copies_nothing():
+    # `_depthwise_rows` moves the tap axes of its window view in front and
+    # merges batch and channel; a copy would be k^2 times the input.
+    k, b, c, h, w = 3, 2, 3, 4, 5
+    xp = ops._pad_hw(np.ones((b, c, h, w)), k // 2)
+    taps_first = ops._windows(xp, k, 1, h, w).transpose(2, 3, 0, 1, 4, 5)
+    merged = taps_first.reshape(k, k, b * c, h, w)
+    assert np.shares_memory(merged, xp)
+    np.testing.assert_array_equal(merged[1, 2, c + 1], xp[1, 1, 1 : 1 + h, 2 : 2 + w])
+
+
+def test_contiguous_copy_of_a_stride_1_pointwise_window_view_is_the_input():
+    # The (B, C, 1, 1, H, W) window of a 1x1 conv at stride 1: numpy ignores
+    # the strides of unit axes when it checks C order, so `conv2d_gemm`'s
+    # im2col matrix is the input itself.
+    x = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
+    cols = np.ascontiguousarray(ops._windows(x, 1, 1, 4, 5))
+    assert np.shares_memory(cols, x)
+    assert np.shares_memory(cols.reshape(2, 3, 4 * 5), x)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -336,6 +336,73 @@ def test_reading_taps_are_the_windows_holding_an_input_pixel(k, stride, h, w):
     assert want == rectangle
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.sampled_from([1, 3, 5, 7, 9]),
+    stride=st.sampled_from([1, 2]),
+    batch=st.integers(0, 2),
+    h=st.integers(1, 6),
+    w=st.integers(1, 6),
+)
+def test_windows_are_the_strided_slices_each_tap_reads(k, stride, batch, h, w):
+    """`_windows(...)[:, :, i, j]` is the slice of the padded input that tap
+    (i, j) reads, with the same values and strides, in the input's memory."""
+    padding = k // 2
+    ho, wo = ops.conv_output_hw(h, w, k, stride, padding)
+    xp = ops._pad_hw(rng(k * 100 + h * 10 + w).standard_normal((batch, 2, h, w)), padding)
+    windows = ops._windows(xp, k, stride, ho, wo)
+    assert windows.shape == (batch, 2, k, k, ho, wo)
+    for i in range(k):
+        for j in range(k):
+            want = xp[..., i : i + stride * ho : stride, j : j + stride * wo : stride]
+            got = windows[:, :, i, j]
+            np.testing.assert_array_equal(got, want)
+            assert got.strides == want.strides
+            assert batch == 0 or np.shares_memory(got, xp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float32, np.float64]),
+    k=st.sampled_from([1, 3]),
+    stride=st.sampled_from([1, 2]),
+    depthwise=st.booleans(),
+    batch=st.integers(1, 3),
+    channels=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    hw=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 2**16),
+)
+# A dense 1x1 stride-2 conv with one output channel: its dw is a GEMV, which
+# BLAS rounds by operand layout, so a Fortran-ordered input once changed it.
+@example(np.float32, 1, 2, False, 2, (4, 1), (2, 2), 0)
+@example(np.float32, 1, 2, False, 2, (3, 1), (2, 2), 0)
+def test_conv_bits_do_not_depend_on_the_input_layout(
+    dtype, k, stride, depthwise, batch, channels, hw, seed
+):
+    """conv2d's output, dx and dw have the same bits for a C-ordered input,
+    its Fortran-ordered copy and a channels-last buffer seen as (B, C, H, W)."""
+    r = rng(seed)
+    cin, cout = channels
+    if depthwise:
+        cout = cin
+    x = r.standard_normal((batch, cin, *hw)).astype(dtype)
+    wd = r.standard_normal((cout, 1 if depthwise else cin, k, k)).astype(dtype)
+    ho, wo = ops.conv_output_hw(*hw, k, stride, k // 2)
+    gy = r.standard_normal((batch, cout, ho, wo)).astype(dtype)
+
+    def run(xd):
+        xt, wt = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+        y = ops.conv2d(xt, wt, stride=stride, groups=cin if depthwise else 1)
+        ops.sum_all(ops.mul(y, Tensor(gy))).backward()
+        return [np.ascontiguousarray(a).tobytes() for a in (y.data, xt.grad, wt.grad)]
+
+    want = run(x)
+    channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    for layout, xd in (("F", np.asfortranarray(x)), ("channels-last", channels_last)):
+        for name, got, ref in zip(("out", "dx", "dw"), run(xd), want):
+            assert got == ref, (layout, name)
+
+
 def test_conv_linearity():
     r = rng(2)
     x1 = r.standard_normal((1, 3, 6, 6)).astype(np.float32)
