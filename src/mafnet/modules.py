@@ -5,7 +5,9 @@ Modules register parameters (Tensors with requires_grad) and buffers
 whole tree can be walked for serialization, cost accounting and inventory
 introspection. Initialization is fully determined by the generator handed
 to the constructor. Every module has one `deploy` flag: `fuse_model` sets it
-on each layer it readies, and `runs_deploy` is the one place that reads it.
+on each layer and container it readies, and `runs_deploy` is the one place
+that reads it. In checked mode, the outermost call that runs deploy forms
+checks only its outputs (see `Module.__call__`).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ShapeError
-from .tensor import RUNTIME, Tensor
+from .errors import ConfigError, NumericalError, ShapeError
+from .tensor import RUNTIME, Tensor, check_outputs
 
 
 @dataclass
@@ -157,7 +159,22 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        out = self.forward(*args, **kwargs)
+        if RUNTIME.checked and runs_deploy(self):
+            # Checked once at the outputs: the ops below run unchecked. A
+            # non-finite output re-runs the call checked, which names the
+            # first bad op; if the re-run raises nothing, this module is named.
+            RUNTIME.checked = False
+            try:
+                out = self.forward(*args, **kwargs)
+            finally:
+                RUNTIME.checked = True
+            try:
+                check_outputs(out, type(self).__name__)
+            except NumericalError:
+                self.forward(*args, **kwargs)
+                raise
+        else:
+            out = self.forward(*args, **kwargs)
         if RUNTIME.observer is not None:
             RUNTIME.observer(self, out)
         return out

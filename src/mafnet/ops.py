@@ -234,7 +234,7 @@ _BAND_TILE = 16
 _BAND_BLOCK = 1 << 17
 
 
-def _depthwise_band(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
+def _depthwise_band(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None) -> np.ndarray:
     """Stride-1 depthwise forward as banded GEMMs, for the deploy path. Per
     channel and kernel row i, the band[c, i] matrix holds w[c, i, j] at
     (x + j, x), so a row of wb + k - 1 padded inputs times it gives wb
@@ -245,8 +245,9 @@ def _depthwise_band(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     rows i * tiles to (i + H) * tiles of that copy by the bands of kernel
     row i: k `np.matmul` calls a block, the bands broadcast over the batch.
     Built per block, the bands stay small (at most about 1.3 MB on the 640
-    model) and are never stored. Zeros off the band still multiply every
-    input, so a non-finite input or weight reaches every output of the
+    model) and are never stored. The bias `bd`, if any, is added as each
+    block's cropped sum is written out. Zeros off the band still multiply
+    every input, so a non-finite input or weight reaches every output of the
     tiles that read it."""
     b, c, h, w = xd.shape
     k = wd.shape[2]
@@ -273,7 +274,11 @@ def _depthwise_band(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
         prod = np.empty_like(acc)
         for i in range(1, k):
             acc += np.matmul(a[:, :, i * nt : (i + h) * nt], band[:, i], out=prod)
-        out[:, c0 : c0 + n] = acc.reshape(b, n, h, nt * wb)[..., :w]
+        crop = acc.reshape(b, n, h, nt * wb)[..., :w]
+        if bd is None:
+            out[:, c0 : c0 + n] = crop
+        else:
+            np.add(crop, bd[c0 : c0 + n, None, None], out=out[:, c0 : c0 + n])
     return out
 
 
@@ -391,9 +396,7 @@ def conv2d(
                 f"conv2d: deploy=True runs only a stride-1 depthwise conv, got "
                 f"{'depthwise' if depthwise else 'dense'} at stride {stride}"
             )
-        out = _depthwise_band(xd, wd)
-        if bias is not None:
-            out += bias.data[None, :, None, None]
+        out = _depthwise_band(xd, wd, None if bias is None else bias.data)
 
         def forward_only(gy):
             raise AutogradError("conv2d: forward-only deploy form; run deploy=False to record one")

@@ -135,7 +135,10 @@ def fuse_model(model: Module) -> int:
     (dense) conv runs as one GEMM and folds in the BatchNorm2d registered
     right after it in the same parent, where one exists and the conv has no
     bias. That fold runs per call, so nothing derived from the weights is
-    stored and the model may load new weights after fusing.
+    stored and the model may load new weights after fusing. Every container
+    is marked `deploy` too, so that in checked mode a deploy forward checks
+    only the outputs of its outermost call; a branch conv or an unfolded
+    batch norm is left as it is.
     """
     if model.training:
         raise ConfigError("fuse_model: requires eval mode; running statistics "
@@ -146,6 +149,8 @@ def fuse_model(model: Module) -> int:
             m.fuse()
             n += 1
             continue
+        if not isinstance(m, (Conv2d, BatchNorm2d)):
+            m.deploy = True  # a container: its call checks only its outputs
         kids = list(m._children.values())
         for conv, nxt in zip(kids, kids[1:] + [None]):
             if isinstance(conv, Conv2d) and conv.groups == 1:

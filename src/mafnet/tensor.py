@@ -19,11 +19,12 @@ from .errors import AutogradError, NumericalError
 
 class Runtime:
     """Process-wide switches, changed for a block with `using()`: NaN/Inf checks
-    on op outputs (`checked`, off when MAF_CHECKED=0), tape recording (`grad`),
-    the unfused eval forward on a fused model (`branch_path`), a hook run as
-    `observer(module, output)` after every Module call, one run as
-    `op_hook(op, args, kwargs, output)` after every public op call, and
-    `op_counts`."""
+    (`checked`, off when MAF_CHECKED=0) on every op output, or only on the
+    outputs of the outermost call of a deploy forward (see `Module.__call__`),
+    tape recording (`grad`), the unfused eval forward on a fused model
+    (`branch_path`), a hook run as `observer(module, output)` after every
+    Module call, one run as `op_hook(op, args, kwargs, output)` after every
+    public op call, and `op_counts`."""
 
     def __init__(self):
         self.checked = os.environ.get("MAF_CHECKED", "1") != "0"
@@ -74,8 +75,18 @@ def count_ops():
 
 
 def check_finite(data: np.ndarray, op: str) -> None:
-    if RUNTIME.checked and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NumericalError(f"{op}: non-finite values in output")
+
+
+def check_outputs(out, name: str) -> None:
+    """`check_finite` on every Tensor of a Module output: a Tensor, or a dict,
+    list or tuple of them, nested."""
+    if isinstance(out, Tensor):
+        check_finite(out.data, name)
+    elif isinstance(out, (dict, list, tuple)):
+        for o in out.values() if isinstance(out, dict) else out:
+            check_outputs(o, name)
 
 
 class Tensor:
@@ -177,7 +188,8 @@ def make_op_output(data: np.ndarray, parents: tuple, backward, op: str) -> Tenso
     attached when at least one parent requires grad and recording is enabled.
     """
     RUNTIME.op_counts[op] += 1
-    check_finite(data, op)
+    if RUNTIME.checked:
+        check_finite(data, op)
     req = RUNTIME.grad and any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req, dtype=data.dtype)
     if req:

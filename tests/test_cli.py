@@ -593,3 +593,13 @@ def test_summary_rejects_mistyped_config_field(capsys, tmp_path, cfg, field):
 def test_usage_error_exits_2(capsys):
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+def test_verify_fuse_model_numerical_error_names_the_op(capsys):
+    """On the default nano config at 32, the fused forward overflows: exit 3
+    with one `numerical error:` line naming the first non-finite op."""
+    code, out, err = run(
+        capsys, "verify-fuse", "--mode", "model", "--input-size", "32", "--trials", "1",
+    )
+    assert code == 3 and out == ""
+    assert err == "numerical error: conv2d: non-finite values in output\n"
