@@ -252,13 +252,11 @@ class Conv2d(Module):
             raise ShapeError(
                 f"Conv2d: input has {x.shape[1]} channels, layer expects {self.in_channels}"
             )
-        if not runs_deploy(self):
-            return ops.conv2d(x, self.weight, self.bias, self.stride, groups=self.groups)
-        w, b = self.weight, self.bias
-        if self.folded_bn is not None:
+        w, b, deploy = self.weight, self.bias, runs_deploy(self)
+        if deploy and self.folded_bn is not None:
             # folded per call, so nothing derived from the weights is stored
             w, b = (Tensor(a) for a in fold_bn(w.data, self.folded_bn.bn_params()))
-        return ops.conv2d_gemm(x, w, b, self.stride)
+        return ops.conv2d(x, w, b, self.stride, self.groups, deploy=deploy)
 
 
 class BatchNorm2d(Module):

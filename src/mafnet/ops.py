@@ -8,8 +8,9 @@ mix(window, tap weights) into the output, dx (`_conv_dx`) scatters mix(gy,
 tap weights transposed), and dw reduces gy against each window; only the
 per-tap channel mix depends on the kind, a per-channel scale or one BLAS
 product. A tap whose window holds only zero padding (`_reading_taps`) is
-skipped in dx, and all such taps share one dw reduce. The deploy path's
-forms are forward-only; each caller passes its producer's `runs_deploy`.
+skipped in dx, and all such taps share one dw reduce. Deploy forms are
+forward-only, and each caller passes `deploy=` its producer's `runs_deploy`;
+conv2d's runs banded GEMMs for a depthwise conv, one im2col GEMM otherwise.
 Gradients are exact; everything else here passes the central
 finite-difference checker.
 """
@@ -368,6 +369,14 @@ def _conv_dx(gy: np.ndarray, wd: np.ndarray, stride: int, x_shape: tuple, depthw
     return dxp[p : p + h, p : p + w].transpose(2, 3, 0, 1)
 
 
+def _forward_only(out: np.ndarray, parents: tuple, op: str) -> Tensor:
+    """The output of a deploy form, whose backward raises."""
+    def backward(gy):
+        raise AutogradError(f"{op}: forward-only deploy form; run deploy=False to record one")
+
+    return make_op_output(out, parents, backward, op)
+
+
 @_hooked
 def conv2d(
     x: Tensor,
@@ -381,9 +390,12 @@ def conv2d(
     forward runs one batched GEMM per run of taps and sums the products in
     tap order from +0, bit for bit as one `np.dot` per tap; a product with a
     unit dimension keeps that per-tap dot, since np.matmul rounds it apart.
-    `deploy=True` runs a stride-1 depthwise conv as the forward-only banded
-    GEMMs of `_depthwise_band`: within rounding of the default form, and no
-    backward."""
+    `deploy=True` runs a forward-only form picked by the weight's geometry:
+    the banded GEMMs of `_depthwise_band` for a depthwise conv at stride 1,
+    else one GEMM per image over the im2col matrix for a dense conv (one
+    channel counts as either), a C copy of the padded input's `_windows` (at
+    stride 1, a 1x1 conv's is the input itself). Both match the default form
+    to rounding, not bit for bit (BLAS sums in another order)."""
     padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, groups)
 
     xd, wd = x.data, w.data
@@ -391,17 +403,17 @@ def conv2d(
     depthwise = groups == cin == out_c
     parents = (x, w) if bias is None else (x, w, bias)
     if deploy:
-        if not depthwise or stride != 1:
-            raise ConfigError(
-                f"conv2d: deploy=True runs only a stride-1 depthwise conv, got "
-                f"{'depthwise' if depthwise else 'dense'} at stride {stride}"
-            )
-        out = _depthwise_band(xd, wd, None if bias is None else bias.data)
-
-        def forward_only(gy):
-            raise AutogradError("conv2d: forward-only deploy form; run deploy=False to record one")
-
-        return make_op_output(out, parents, forward_only, "conv2d")
+        if depthwise and stride == 1:
+            out = _depthwise_band(xd, wd, None if bias is None else bias.data)
+        elif groups == 1:
+            cols = np.ascontiguousarray(_windows(_pad_hw(xd, padding), k, stride, ho, wo))
+            out = np.matmul(wd.reshape(out_c, -1), cols.reshape(b, cin * k * k, ho * wo))
+            out = out.reshape(b, out_c, ho, wo)
+            if bias is not None:
+                out += bias.data[:, None, None]
+        else:
+            raise ConfigError(f"conv2d: deploy=True has no form for depthwise at stride {stride}")
+        return _forward_only(out, parents, "conv2d")
     reduce = _scale_reduce if depthwise else _dense_reduce
 
     if depthwise:
@@ -432,32 +444,6 @@ def conv2d(
             bias.accumulate_grad(gy.sum(axis=(0, 2, 3)))
 
     return make_op_output(out, parents, backward, "conv2d")
-
-
-@_hooked
-def conv2d_gemm(
-    x: Tensor,
-    w: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-) -> Tensor:
-    """Forward-only dense conv for the deploy path, padded by k//2: one GEMM
-    per image over the im2col matrix, a C copy of the padded input's
-    `_windows` (at stride 1, a 1x1 conv's is the input itself, not copied).
-    It matches conv2d to rounding, not bit for bit (BLAS sums in another
-    order), and has no backward."""
-    padding, out_c, k, ho, wo = _validate_conv(x, w, bias, stride, 1)
-    b, cin = x.shape[:2]
-    cols = np.ascontiguousarray(_windows(_pad_hw(x.data, padding), k, stride, ho, wo))
-    out = np.matmul(w.data.reshape(out_c, -1), cols.reshape(b, cin * k * k, ho * wo))
-    if bias is not None:
-        out += bias.data[:, None]
-
-    def backward(gy):
-        raise AutogradError("conv2d_gemm: forward-only op; run conv2d to record a backward")
-
-    parents = (x, w) if bias is None else (x, w, bias)
-    return make_op_output(out.reshape(b, out_c, ho, wo), parents, backward, "conv2d_gemm")
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +559,7 @@ def silu(x: Tensor, deploy: bool = False) -> Tensor:
         with np.errstate(over="ignore"):
             np.exp(t, out=t)
         t += 1
-
-        def forward_only(gy):
-            raise AutogradError("silu: forward-only deploy form; run deploy=False to record one")
-
-        return make_op_output(np.divide(x.data, t, out=t), (x,), forward_only, "silu")
+        return _forward_only(np.divide(x.data, t, out=t), (x,), "silu")
     s = _sigmoid(x.data)
     # without a tape entry no backward reads s, so the product can overwrite it
     records = RUNTIME.grad and x.requires_grad

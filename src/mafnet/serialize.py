@@ -10,7 +10,8 @@ Entries follow the deterministic module walk (per module: parameters, then
 buffers), so save -> load -> save is byte-identical. A fused model stores
 its RepHDW kernels (`fused_weight`, `fused_bias`) as buffers; loading such a
 file fuses the target first, then replaces those buffers like any other.
-Dense-conv folds are recomputed per call and never stored.
+Dense-conv folds are recomputed per call and never stored. A file that
+repeats an entry name or holds bytes after its last entry is rejected.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def read_entries(path: str) -> list[tuple[str, np.ndarray]]:
     if version != VERSION:
         raise SerializationError(f"unsupported weight file version {version}")
     count = r.u32()
-    entries = []
+    entries = {}
     for _ in range(count):
         name_len = r.u32()
         if name_len > 1 << 16:
@@ -101,9 +102,12 @@ def read_entries(path: str) -> list[tuple[str, np.ndarray]]:
         dims = [r.u32() for _ in range(rank)]
         n = math.prod(dims)
         payload = r.take(n * dtype.itemsize)
-        arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-        entries.append((name, arr))
-    return entries
+        if name in entries:
+            raise SerializationError(f"entry {name!r} appears twice in {path!r}")
+        entries[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    if r.off < len(r.data):
+        raise SerializationError(f"{len(r.data) - r.off} trailing bytes at offset {r.off}")
+    return list(entries.items())
 
 
 def _fit(name: str, arr: np.ndarray, like: np.ndarray) -> np.ndarray:

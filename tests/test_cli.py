@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -17,6 +19,7 @@ from mafnet import (
     build_model,
     calibrate_bn_stats,
     fuse_model,
+    read_entries,
     save_config,
     save_weights,
     toy_config,
@@ -171,6 +174,32 @@ def test_verify_fuse_nan_deviation_fails(capsys, toy_weight_files, mode):
     assert sum(item["max_deviation"] is None for item in payload["per_item"]) == (
         1 if mode == "unit" else 2
     )
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    ("repeated", r"entry '[\w.]+' appears twice"),
+    ("trailing", r"8 trailing bytes at offset \d+\n"),
+], ids=["repeated", "trailing"])
+def test_verify_fuse_rejects_a_corrupt_weight_file(capsys, toy_weight_files, tmp_path, corrupt,
+                                                   error):
+    """A weight file with its first entry appended again (holding 7.0), or
+    with bytes after its last entry, is a usage error (exit 2), not a PASS."""
+    d = toy_weight_files
+    data = (d / "fused.mafw").read_bytes()
+    if corrupt == "repeated":
+        entries = read_entries(str(d / "fused.mafw"))
+        name, arr = entries[0]
+        # the header is 12 bytes; the entry's own header precedes its payload
+        head = 12 + 4 + len(name.encode()) + 8 + 4 * arr.ndim
+        data = (data[:8] + struct.pack("<I", len(entries) + 1) + data[12:] + data[12:head]
+                + np.full_like(arr, 7.0).tobytes())
+    else:
+        data += b"\x00garbage"
+    bad = tmp_path / "bad.mafw"
+    bad.write_bytes(data)
+    code, out, err = run(capsys, "verify-fuse", "--config", str(d / "toy.json"),
+                         "--weights", str(bad), "--trials", "1")
+    assert code == 2 and out == "" and re.match(f"error: {error}", err)
 
 
 # A child process whose `print` to stdout fails as it does once the reader of

@@ -103,8 +103,8 @@ def test_merging_batch_and_channel_of_a_transposed_window_view_copies_nothing():
 
 def test_contiguous_copy_of_a_stride_1_pointwise_window_view_is_the_input():
     # The (B, C, 1, 1, H, W) window of a 1x1 conv at stride 1: numpy ignores
-    # the strides of unit axes when it checks C order, so `conv2d_gemm`'s
-    # im2col matrix is the input itself.
+    # the strides of unit axes when it checks C order, so the im2col matrix
+    # of conv2d's dense deploy form is the input itself.
     x = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
     cols = np.ascontiguousarray(ops._windows(x, 1, 1, 4, 5))
     assert np.shares_memory(cols, x)

@@ -51,12 +51,18 @@ def checks(monkeypatch):
 
 def poison(monkeypatch, kind, value, calls=None):
     """Write `value` into the first element of each `kind` op output; with
-    `calls`, only into the outputs of those call numbers (0 = first)."""
+    `calls`, only into the outputs of those call numbers (0 = first). Kind
+    "conv2d.dense" or "conv2d.dw" picks the conv2d outputs of that weight
+    geometry: (out, in, k, k) or (C, 1, k, k)."""
     make = ops.make_op_output
     seen = [0]
+    name, _, geometry = kind.partition(".")
+
+    def picked(op, parents):
+        return op == name and (not geometry or (parents[1].shape[1] == 1) == (geometry == "dw"))
 
     def poisoned(data, parents, backward, op):
-        if op == kind:
+        if picked(op, parents):
             if calls is None or seen[0] in calls:
                 data = data.copy()
                 data.flat[0] = value
@@ -68,14 +74,15 @@ def poison(monkeypatch, kind, value, calls=None):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("kind", [
-    "conv2d_gemm", "conv2d", "silu", "split_channels", "concat_channels", "upsample_nearest2x",
+    "conv2d.dense", "conv2d.dw", "conv2d", "silu", "split_channels", "concat_channels",
+    "upsample_nearest2x",
 ])
 def test_fused_forward_names_the_poisoned_op(nano128, monkeypatch, kind, value):
     model, x = nano128
     poison(monkeypatch, kind, value)
     with no_grad(), np.errstate(invalid="ignore"), pytest.raises(NumericalError) as err:
         model.forward_taps(x)
-    assert str(err.value) == f"{kind}: non-finite values in output"
+    assert str(err.value) == f"{kind.partition('.')[0]}: non-finite values in output"
 
 
 @pytest.mark.parametrize("call, name", [

@@ -30,6 +30,7 @@ from mafnet import (
     save_config,
     save_weights,
     toy_config,
+    using,
 )
 from mafnet import ops
 from mafnet.cli import ABLATIONS, _ablation_config
@@ -92,8 +93,8 @@ def test_forward_requires_divisible_input():
 def test_fused_nano_forward_op_mix():
     # Structural gate on the deploy path: a per-kind op count does not drift
     # with machine load the way wall time does. The 28 RepHDW units run one
-    # depthwise conv2d each; the 90 dense convs run as GEMMs, folding all 78
-    # batch norms.
+    # depthwise conv2d each; the 90 dense convs run one GEMM conv2d each,
+    # folding all 78 batch norms.
     model = build_model(nano_config())
     model.eval()
     fuse_model(model)
@@ -102,8 +103,7 @@ def test_fused_nano_forward_op_mix():
         with no_grad():
             model(x)
     assert counts == {
-        "conv2d": 28,
-        "conv2d_gemm": 90,
+        "conv2d": 118,
         "silu": 84,
         "split_channels": 18,
         "concat_channels": 14,
@@ -121,17 +121,28 @@ def test_fused_forward_matches_branch_path():
     assert dev <= 1e-3
 
 
+def _deploy_convs(seen):
+    """An op hook that appends to `seen` the weight shape of each conv2d
+    call with deploy=True (Conv2d and RepHDWConv pass it by keyword)."""
+    def hook(op, args, kwargs, out):
+        if op == "conv2d" and kwargs.get("deploy"):
+            seen.append(args[1].shape)
+    return hook
+
+
 @pytest.mark.parametrize("off", [off for *_, off in ABLATIONS],
                          ids=[f"{p}-{label}" for p, label, _ in ABLATIONS])
 def test_fused_ablation_forward_folds_every_batch_norm(off):
     model = build_model(_ablation_config(off, 0))
     model.eval()
     fuse_model(model)
-    with count_ops() as counts, no_grad():
+    deploy = []
+    with count_ops() as counts, no_grad(), using(op_hook=_deploy_convs(deploy)):
         model(Tensor(np.zeros((1, 3, 64, 64), dtype=np.float32)))
     dense = sum(isinstance(m, Conv2d) and m.groups == 1 for m in model.modules())
     assert "batchnorm_infer" not in counts
-    assert counts["conv2d_gemm"] == dense
+    assert sum(shape[1] > 1 for shape in deploy) == dense
+    assert len(deploy) == dense + len(rep_units(model))
 
 
 def test_fuse_model_adds_only_rephdw_state_and_keeps_costs():
@@ -157,12 +168,13 @@ def test_fused_model_with_tape_on_runs_unfolded_ops():
     model.eval()
     fuse_model(model)
     x = Tensor(rng(4).standard_normal((1, 3, 64, 64)).astype(np.float32), requires_grad=True)
-    with count_ops() as counts:
+    deploy = []
+    with count_ops() as counts, using(op_hook=_deploy_convs(deploy)):
         taped, _ = model.forward_taps(x)
     with count_ops() as branch_counts, no_grad(), branch_path():
         branch, _ = model.forward_taps(x)
     assert counts == branch_counts
-    assert counts["batchnorm_infer"] > 0 and "conv2d_gemm" not in counts
+    assert counts["batchnorm_infer"] > 0 and deploy == []
     branch_convs = sum(len(u.branch_kernels) for _, u in rep_units(model))
     dense = sum(isinstance(m, Conv2d) and m.groups == 1 for m in model.modules())
     assert counts["conv2d"] == branch_convs + dense
@@ -374,6 +386,26 @@ def test_truncated_file_reports_offset(tmp_path):
     data = p.read_bytes()
     p.write_bytes(data[: len(data) // 2])
     with pytest.raises(SerializationError, match="offset"):
+        read_entries(str(p))
+
+
+def test_repeated_entry_rejected(tmp_path):
+    """A copy of the first entry appended with other values would otherwise
+    replace it on load."""
+    entries = list(build_model(toy_config(seed=10)).state_entries())
+    name, arr = entries[0]
+    p = tmp_path / "w.mafw"
+    _write_entries(p, entries + [(name, np.full_like(arr, 7.0))])
+    with pytest.raises(SerializationError, match=rf"entry '{name}' appears twice"):
+        read_entries(str(p))
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "w.mafw"
+    save_weights(build_model(toy_config(seed=10)), str(p))
+    size = p.stat().st_size
+    p.write_bytes(p.read_bytes() + b"\x00garbage")
+    with pytest.raises(SerializationError, match=f"8 trailing bytes at offset {size}$"):
         read_entries(str(p))
 
 

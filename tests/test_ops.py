@@ -431,10 +431,9 @@ def test_conv_empty_batch_shapes(stride, depthwise):
     expected = (0, 4, (11 - 1) // stride + 1, (13 - 1) // stride + 1)
     y = ops.conv2d(x, w, stride=stride, groups=4 if depthwise else 1)
     assert y.shape == expected and y.dtype == np.float32
-    if depthwise and stride == 1:
-        assert ops.conv2d(x, w, groups=4, deploy=True).shape == expected
-    if not depthwise:
-        assert ops.conv2d_gemm(x, w, stride=stride).shape == expected
+    if not (depthwise and stride == 2):
+        y = ops.conv2d(x, w, stride=stride, groups=4 if depthwise else 1, deploy=True)
+        assert y.shape == expected
 
 
 def test_conv_errors_name_offending_dim():
@@ -479,17 +478,21 @@ def test_conv_errors_name_offending_dim():
     with_bias=st.booleans(),
     seed=st.integers(0, 2**16),
 )
+# one channel in and out at stride 2: depthwise by geometry, but run dense
+@example(np.float32, 3, 2, 2, 1, 1, (1, 2), True, 0)
 def test_conv2d_gemm_matches_conv2d(dtype, k, stride, batch, cin, cout, hw, with_bias, seed):
-    """The deploy GEMM conv (always padded by k//2) agrees with conv2d within
-    the rounding bound of an n-term dot product, n = cin * k * k + 1: each side
-    is off the exact value by at most n * eps * (|w| * |x| + |b|), so they
-    differ by at most twice that."""
+    """conv2d's dense deploy form, an im2col GEMM, agrees with its default
+    form within the rounding bound of an n-term dot product, n = cin * k * k
+    + 1: each side is off the exact value by at most n * eps * (|w| * |x| +
+    |b|), so they differ by at most twice that. Both are recorded as conv2d."""
     r = rng(seed)
     x = r.standard_normal((batch, cin, k + hw[0], k + hw[1])).astype(dtype)
     w = r.standard_normal((cout, cin, k, k)).astype(dtype)
     b = Tensor(r.standard_normal(cout).astype(dtype)) if with_bias else None
-    got = ops.conv2d_gemm(Tensor(x), Tensor(w), b, stride)
+    with count_ops() as counts:
+        got = ops.conv2d(Tensor(x), Tensor(w), b, stride, deploy=True)
     ref = ops.conv2d(Tensor(x), Tensor(w), b, stride)
+    assert counts == {"conv2d": 1}
     assert got.dtype == dtype and got.shape == ref.shape
     scale = ops.conv2d(Tensor(np.abs(x)), Tensor(np.abs(w)), None, stride).data
     if with_bias:
@@ -501,7 +504,7 @@ def test_conv2d_gemm_matches_conv2d(dtype, k, stride, batch, cin, cout, hw, with
 def test_conv2d_gemm_is_forward_only():
     x = Tensor(rng(3).standard_normal((1, 2, 5, 5)).astype(np.float32), requires_grad=True)
     w = Tensor(rng(4).standard_normal((3, 2, 3, 3)).astype(np.float32))
-    loss = ops.sum_all(ops.conv2d_gemm(x, w))
+    loss = ops.sum_all(ops.conv2d(x, w, deploy=True))
     with pytest.raises(AutogradError, match="forward-only"):
         loss.backward()
 
@@ -585,8 +588,6 @@ def test_depthwise_deploy_form_is_forward_only():
 
 def test_deploy_conv_is_depthwise_at_stride_1_only():
     x = Tensor(np.zeros((1, 3, 6, 6), dtype=np.float32))
-    with pytest.raises(ConfigError, match="deploy=True.*dense at stride 1"):
-        ops.conv2d(x, Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32)), deploy=True)
     with pytest.raises(ConfigError, match="deploy=True.*depthwise at stride 2"):
         ops.conv2d(x, Tensor(np.zeros((3, 1, 3, 3), dtype=np.float32)), stride=2, groups=3,
                    deploy=True)
